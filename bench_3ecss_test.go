@@ -70,27 +70,6 @@ func BenchmarkMicro_Solve3ECSSEndToEndLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_Solve3ECSSEndToEndReference is the labeling-strategy
-// ablation: the same solves driven through the retained from-scratch
-// per-iteration label scan (results are identical; see the equivalence
-// corpus). CI's bench regex anchors to the non-Reference benchmarks, so
-// this never runs in CI — it is the live "how much does incrementality buy
-// on its own" column.
-func BenchmarkMicro_Solve3ECSSEndToEndReference(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			g := bench3ECSSGraph(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Solve3ECSSUnweighted(g, WithSeed(int64(i)), WithReferenceLabeling()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMicro_IncrementalLabelUpdate times one warm engine update step —
 // AddEdges of a single candidate (label sample + fundamental-cycle XOR +
 // count maintenance), one CoverCount query, and the O(1) termination

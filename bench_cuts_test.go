@@ -89,31 +89,3 @@ func BenchmarkMicro_SolveKECSSEndToEnd(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkMicro_EnumerateMinCutsReference benches the retained flat-Karger
-// oracle on the smaller instances (it is Θ(n²·log n) trials, so larger
-// sizes are impractical) — the live "before" column for the table in
-// CHANGES.md. CI's bench-smoke step anchors its -bench regex to the
-// non-Reference benchmarks, so this never runs in CI.
-func BenchmarkMicro_EnumerateMinCutsReference(b *testing.B) {
-	cases := []struct{ size, n int }{
-		{3, 64},
-		{3, 256},
-	}
-	for _, tc := range cases {
-		b.Run(fmt.Sprintf("size=%d/n=%d", tc.size, tc.n), func(b *testing.B) {
-			b.ReportAllocs()
-			g := graph.Harary(tc.size, tc.n, graph.UnitWeights())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cuts, err := core.EnumerateMinCutsReference(g, tc.size, rand.New(rand.NewSource(int64(i))))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cuts) == 0 {
-					b.Fatal("no cuts found")
-				}
-			}
-		})
-	}
-}

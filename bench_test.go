@@ -1,7 +1,8 @@
 package kecss
 
-// One benchmark per reproduction experiment (E1–E10, see DESIGN.md §4 and
-// EXPERIMENTS.md) plus the ablations (A1–A4) and micro-benchmarks of the
+// One benchmark per reproduction experiment (E1–E14, each documented on its
+// function in internal/experiments against the paper's claims in PAPER.md)
+// plus the ablations (A1–A4) and micro-benchmarks of the
 // substrates. The experiment benches run the Quick-scale sweeps so that
 // `go test -bench=.` terminates in minutes; `cmd/kecss-bench` (without
 // -quick) prints the full tables.
@@ -48,7 +49,7 @@ func BenchmarkE12_Verification(b *testing.B)  { benchExperiment(b, experiments.E
 func BenchmarkE13_FTMST(b *testing.B)         { benchExperiment(b, experiments.E13) }
 func BenchmarkE14_Weighted3ECSS(b *testing.B) { benchExperiment(b, experiments.E14) }
 
-// --- Ablations (DESIGN.md §5) ------------------------------------------------
+// --- Ablations (A1–A4, internal/experiments) ---------------------------------
 
 func BenchmarkAblation_VoteThreshold(b *testing.B) {
 	benchExperiment(b, experiments.AblationVoteThreshold)

@@ -1,5 +1,6 @@
 // Command kecss-bench regenerates every reproduction experiment E1–E14 and
-// the ablations A1–A4 (see DESIGN.md §4–5 and EXPERIMENTS.md) and prints the
+// the ablations A1–A4 (see the README's CLI section; each experiment is
+// documented on its function in internal/experiments) and prints the
 // result tables, and runs JSON-described scenario sweeps on the solver pool.
 //
 // Usage:

@@ -247,7 +247,11 @@ func TestCrashRestartMatrix(t *testing.T) {
 			jobs := crashWorkload(t, 8)
 			wal := filepath.Join(t.TempDir(), "journal.wal")
 
-			p1 := startServe(t, bin, wal, freePort(t), sc.plan, sc.seed)
+			// Arming on the first flushed ack makes the fault wait for it:
+			// in fused mode the agent may claim and journal a job before
+			// its 202 leaves the handler, and a fault that fires then
+			// leaves nothing acknowledged to check.
+			p1 := startServe(t, bin, wal, freePort(t), sc.plan+",arm@server.ack#1", sc.seed)
 			p1.waitReady(t, 10*time.Second)
 
 			// Submit the workload; under a crash plan some POSTs may lose

@@ -13,15 +13,24 @@
 //	stall@worker.solve#2:300ms      sleep 300ms inside the 2nd solve
 //	stall@worker.solve#*:20ms       sleep 20ms inside every solve
 //	crash@worker.before-done#1      exit after solving, before the done record
+//	arm@server.ack#1                hold the other faults until the 1st job ack is flushed
 //
 // The `#n` hit index is 1-based. When omitted, the hit is derived from the
 // plan seed (splitmix64), uniformly in [1, 8] — a cheap way to get a seed
 // matrix out of one spec. `#*` fires on every hit instead of one — with
 // stall this turns a fault plan into a latency model (each solve costs at
 // least the stall), which is how the CI agent-scaling smoke makes
-// horizontal scaling visible on a small runner. An empty plan string yields a nil Injector, and
-// every Injector method is nil-safe, so production code calls the hooks
-// unconditionally.
+// horizontal scaling visible on a small runner.
+//
+// An `arm` entry orders the plan against the client's view: a fault whose
+// planned hit arrives before the arm point has been hit n times waits there
+// until it has. Crash tests use arm@server.ack#1 so that at least one job
+// is acknowledged before the fault fires, however the scheduler orders the
+// in-process agent against the HTTP handler. The planned hit indices are
+// unchanged by arming; only the moment the fault fires moves.
+//
+// An empty plan string yields a nil Injector, and every Injector method is
+// nil-safe, so production code calls the hooks unconditionally.
 //
 // The process-killing actions call os.Exit(ExitCode) — the test harness
 // treats that exit code as "planned crash". Torn writes are performed by
@@ -62,6 +71,10 @@ const (
 	// file, which recovery must sweep; ActCrashTorn truncates the temp
 	// file first, modeling a torn final record.
 	StorePut Point = "store.put"
+	// ServerAck fires in the POST /v1/jobs handler after the 202 has been
+	// flushed to the client. It carries no fault of its own; it is the
+	// point an `arm` entry counts.
+	ServerAck Point = "server.ack"
 )
 
 // Action is what an instrumentation point should do right now.
@@ -79,6 +92,8 @@ const (
 	ActCrashTorn
 	// ActStall: At already slept for the planned duration; proceed.
 	ActStall
+	// actArm marks a parsed arm entry; At never returns it.
+	actArm
 )
 
 // ExitCode is the status a planned crash exits with, letting the harness
@@ -101,6 +116,11 @@ type Injector struct {
 	mu     sync.Mutex
 	counts map[Point]uint64 // guarded by mu
 	plan   map[Point]*fault // guarded by mu
+	// armPt and armHits are the plan's arm entry; armed is closed once
+	// armPt has been hit armHits times. armed is nil without an arm entry.
+	armPt   Point
+	armHits uint64
+	armed   chan struct{}
 	// exit is os.Exit, swappable for the injector's own tests.
 	exit func(int)
 	// sleep is time.Sleep, swappable for tests.
@@ -130,10 +150,20 @@ func Parse(spec string, seed int64) (*Injector, error) {
 		if err != nil {
 			return nil, err
 		}
+		if f.action == actArm {
+			if inj.armed != nil {
+				return nil, fmt.Errorf("chaos: duplicate arm entry %q", part)
+			}
+			inj.armPt, inj.armHits, inj.armed = pt, f.hit, make(chan struct{})
+			continue
+		}
 		if _, dup := inj.plan[pt]; dup {
 			return nil, fmt.Errorf("chaos: duplicate fault for point %q", pt)
 		}
 		inj.plan[pt] = f
+	}
+	if _, clash := inj.plan[inj.armPt]; clash && inj.armed != nil {
+		return nil, fmt.Errorf("chaos: point %q carries both a fault and the arm entry", inj.armPt)
 	}
 	return inj, nil
 }
@@ -162,8 +192,10 @@ func parseFault(part string, rng *uint64) (*fault, Point, error) {
 	case "stall":
 		f.action = ActStall
 		f.stall = 250 * time.Millisecond
+	case "arm":
+		f.action = actArm
 	default:
-		return nil, "", fmt.Errorf("chaos: unknown action %q (want crash, torn or stall)", actionStr)
+		return nil, "", fmt.Errorf("chaos: unknown action %q (want crash, torn, stall or arm)", actionStr)
 	}
 	if rest2, stallStr, ok := strings.Cut(rest, ":"); ok {
 		if f.action != ActStall {
@@ -177,6 +209,9 @@ func parseFault(part string, rng *uint64) (*fault, Point, error) {
 		rest = rest2
 	}
 	pointStr, hitStr, hasHit := strings.Cut(rest, "#")
+	if f.action == actArm && (!hasHit || hitStr == "*") {
+		return nil, "", fmt.Errorf("chaos: fault %q: arm needs an explicit hit count", part)
+	}
 	if hasHit {
 		if hitStr == "*" {
 			f.every = true
@@ -189,7 +224,7 @@ func parseFault(part string, rng *uint64) (*fault, Point, error) {
 		}
 	}
 	switch pt := Point(pointStr); pt {
-	case JournalBeforeFsync, QueueAfterLease, WorkerSolve, WorkerBeforeDone, StorePut:
+	case JournalBeforeFsync, QueueAfterLease, WorkerSolve, WorkerBeforeDone, StorePut, ServerAck:
 		return f, pt, nil
 	default:
 		return nil, "", fmt.Errorf("chaos: unknown point %q", pointStr)
@@ -197,15 +232,19 @@ func parseFault(part string, rng *uint64) (*fault, Point, error) {
 }
 
 // At records a hit on pt and fires its planned fault when the hit index
-// matches. ActCrash exits the process here. ActStall sleeps here and
-// returns ActStall. ActCrashTorn returns without exiting: the caller
-// produces its torn artifact and then calls Exit. Nil-safe.
+// matches, first waiting for the plan's arm entry if it has one and it has
+// not yet been reached. ActCrash exits the process here. ActStall sleeps
+// here and returns ActStall. ActCrashTorn returns without exiting: the
+// caller produces its torn artifact and then calls Exit. Nil-safe.
 func (inj *Injector) At(pt Point) Action {
 	if inj == nil {
 		return ActNone
 	}
 	inj.mu.Lock()
 	inj.counts[pt]++
+	if inj.armed != nil && pt == inj.armPt && inj.counts[pt] == inj.armHits {
+		close(inj.armed)
+	}
 	f := inj.plan[pt]
 	if f == nil || f.fired || (!f.every && inj.counts[pt] != f.hit) {
 		inj.mu.Unlock()
@@ -215,6 +254,9 @@ func (inj *Injector) At(pt Point) Action {
 		f.fired = true
 	}
 	inj.mu.Unlock()
+	if inj.armed != nil {
+		<-inj.armed
+	}
 	switch f.action {
 	case ActCrash:
 		inj.exit(ExitCode)

@@ -36,6 +36,10 @@ func TestParseErrors(t *testing.T) {
 		"crash@worker.solve:100ms",              // duration on non-stall
 		"stall@worker.solve:notaperiod",         // bad duration
 		"crash@worker.solve,crash@worker.solve", // duplicate point
+		"arm@server.ack",                        // arm without a count
+		"arm@server.ack#*",                      // arm on every hit
+		"arm@server.ack#1,arm@server.ack#2",     // duplicate arm
+		"arm@server.ack#1,crash@server.ack#1",   // fault at the arm point
 	} {
 		if _, err := Parse(spec, 1); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
@@ -173,5 +177,46 @@ func TestParseErrorMentionsSpec(t *testing.T) {
 	_, err := Parse("crash@worker.solve#0", 1)
 	if err == nil || !strings.Contains(err.Error(), "hit index") {
 		t.Fatalf("err = %v, want hit-index complaint", err)
+	}
+}
+
+func TestArmHoldsFaultUntilReached(t *testing.T) {
+	inj, err := Parse("crash@journal.before-fsync#2,arm@server.ack#1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan int, 1)
+	inj.exit = func(code int) { exited <- code }
+	inj.At(JournalBeforeFsync)
+	fired := make(chan Action, 1)
+	go func() { fired <- inj.At(JournalBeforeFsync) }()
+	select {
+	case <-exited:
+		t.Fatal("fault fired before the arm point was reached")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if act := inj.At(ServerAck); act != ActNone {
+		t.Fatalf("arm point = %v, want ActNone", act)
+	}
+	if code := <-exited; code != ExitCode {
+		t.Fatalf("exit code %d, want %d", code, ExitCode)
+	}
+	if act := <-fired; act != ActCrash {
+		t.Fatalf("held hit = %v, want ActCrash", act)
+	}
+	if n := inj.Hits(JournalBeforeFsync); n != 2 {
+		t.Fatalf("Hits = %d, want 2 (arming must not shift hit indices)", n)
+	}
+}
+
+func TestArmAfterReachedDoesNotHold(t *testing.T) {
+	inj, err := Parse("stall@worker.solve#1:1ms,arm@server.ack#1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.sleep = func(time.Duration) {}
+	inj.At(ServerAck)
+	if act := inj.At(WorkerSolve); act != ActStall {
+		t.Fatalf("hit 1 = %v, want ActStall", act)
 	}
 }

@@ -14,17 +14,16 @@
 // <= 6 supernodes enumerate every bipartition of the contracted graph
 // exactly. A fixed minimum cut survives one such trial with probability
 // Ω(1/log n), so Θ(log²n) trials enumerate all minimum cuts w.h.p., versus
-// the Θ(n²·log n) flat contractions of EnumerateMinCutsReference (retained
-// as the testing oracle).
+// the Θ(n²·log n) flat contractions of the enumerator it replaced (kept in
+// the package tests as the oracle).
 //
-// # Determinism of parallel trials
+// # Determinism of the trials
 //
-// Contraction trials may run on several goroutines
-// (CutEnumOptions.Workers) and follow the contract internal/service
-// established for sweeps: trial t draws from a private RNG seeded
-// baseSeed XOR t (baseSeed is one Int63 from the caller's RNG), trial
-// results merge in trial order, and the merged set is sorted canonically —
-// so the output is byte-identical at any worker count and scheduling.
+// Trial t draws from a private RNG seeded baseSeed XOR t (baseSeed is one
+// Int63 from the caller's RNG), the trials run in order on the calling
+// goroutine, and the cuts found are sorted canonically — so the output
+// depends only on the graph and that one draw. Parallelism lives one level
+// up, across independent solves (kecss.Pool), not inside an enumeration.
 //
 // # Arena ownership
 //
@@ -40,8 +39,8 @@
 // Cut identity is 64-bit FNV-1a hashed and resolved by intern tables that
 // compare the underlying data on hash collision — inside trials over the
 // sorted crossing-edge signature (O(λ) per probe; for a minimum cut the λ
-// crossing edges determine the bipartition), across trial merges and the
-// size-2 exact enumerator over the bipartition bitset. Aug's coverage
+// crossing edges determine the bipartition), and in the size-2 exact
+// enumerator over the bipartition bitset. Aug's coverage
 // bookkeeping then works on dense cut indices (covered bitmaps, candidate
 // cut-index lists) — no string keys on any hot path.
 //
@@ -62,8 +61,8 @@
 // attaining it" into an O(pool + stale) pop — iterations touch candidates
 // proportional to what changed, not to m. The pool a bucket pop yields is
 // re-sorted to ascending edge ID, so RNG consumption and results are
-// bit-identical to the legacy full scans (pinned by the equivalence
-// corpus).
+// bit-identical to a full scan of every candidate (the equivalence corpus
+// checks the pool against that scan after every activation step).
 //
 // ThreeECSSOptions.Rebalance adds the §5 mitigation for Θ(n)-height
 // labeling trees: when the tree grows past 4·⌈log n⌉ and a BFS probe of

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -41,20 +40,6 @@ func newCut(n int, inSide func(v int) bool) Cut {
 // cutWords returns the number of 64-bit words a side bitset over n vertices
 // occupies.
 func cutWords(n int) int { return (n + 63) / 64 }
-
-// Key returns a string identifying the bipartition. It survives as the
-// oracle-friendly identity used by tests and the reference enumerator; the
-// hot paths intern cuts through cutInterner's 64-bit hash table instead and
-// never materialise strings.
-func (c Cut) Key() string {
-	b := make([]byte, 0, len(c.side)*8)
-	for _, w := range c.side {
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(w>>uint(s)))
-		}
-	}
-	return string(b)
-}
 
 // Crosses reports whether the edge {u, v} crosses the bipartition.
 func (c Cut) Crosses(u, v int) bool {
@@ -179,17 +164,6 @@ func (it *cutInterner) add(side []uint64) (Cut, bool) {
 	return it.insert(h, it.store.alloc(side)), true
 }
 
-// addCut interns an already-materialised Cut without copying its bitset.
-// Used when merging per-trial results whose cuts already own their memory.
-func (it *cutInterner) addCut(c Cut) bool {
-	h := hashWords(c.side)
-	if it.lookup(h, c.side) >= 0 {
-		return false
-	}
-	it.insert(h, c)
-	return true
-}
-
 func (it *cutInterner) insert(h uint64, c Cut) Cut {
 	it.table[h] = append(it.table[h], int32(len(it.cuts)))
 	it.cuts = append(it.cuts, c)
@@ -197,35 +171,14 @@ func (it *cutInterner) insert(h uint64, c Cut) Cut {
 }
 
 // CutEnumOptions tunes EnumerateMinCutsOpts. The zero value is the default:
-// sequential trials, the default Karger–Stein repetition count, and λ(h)
-// verified by a capped max-flow pass.
+// λ(h) verified by a capped max-flow pass, and no phase events.
 type CutEnumOptions struct {
-	// Workers spreads the size >= 3 contraction trials over this many
-	// goroutines (via service.Do). 0 or 1 keeps them on the calling
-	// goroutine. Results are byte-identical at any worker count: trial t
-	// always draws from its own RNG seeded baseSeed XOR t and trial results
-	// merge in trial order. The exact enumerators for sizes 1–2 ignore this.
-	Workers int
-	// TrialFactor multiplies the default Θ(log²n) Karger–Stein repetition
-	// count (0 or 1 = default). The default is chosen for w.h.p.
-	// completeness; raising it buys a lower miss probability with CPU.
-	TrialFactor int
 	// KnownConnectivity > 0 is the caller's promise that λ(h) equals this
 	// value, letting the enumerator skip its own capped max-flow
 	// verification (an Aug level has just computed the connectivity of the
 	// subgraph it augments). A cheap min-degree assertion still guards
 	// against contradictory promises.
 	KnownConnectivity int
-	// LeafRecount switches the size >= 3 base-case enumeration back to the
-	// per-mask crossing recount instead of the gray-code sweep. The two
-	// visit the same bipartitions and produce identical output (pinned by
-	// the equivalence tests); the recount survives as the oracle.
-	LeafRecount bool
-	// MaxTrials caps the Karger–Stein repetition count (after TrialFactor),
-	// for tests that compare leaf strategies on graphs too large for the
-	// full w.h.p. schedule. 0 means no cap. Capped runs may miss cuts and
-	// must not be used for solving.
-	MaxTrials int
 	// Phase, if set, receives "ks-sweep" and "ks-materialise" PhaseEvents
 	// from the size >= 3 contraction enumeration. Nil costs nothing.
 	Phase PhaseObserver
@@ -241,7 +194,7 @@ func EnumerateMinCuts(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
 }
 
 // EnumerateMinCutsOpts is EnumerateMinCuts with explicit enumeration
-// options; see CutEnumOptions for the determinism contract.
+// options (see CutEnumOptions).
 func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOptions) ([]Cut, error) {
 	if !h.Connected() {
 		return nil, fmt.Errorf("core: cut enumeration needs a connected graph")
@@ -343,86 +296,5 @@ func cutsFromCutPairs(h *graph.Graph) ([]Cut, error) {
 			out = append(out, c)
 		}
 	}
-	return out, nil
-}
-
-// EnumerateMinCutsReference is the pre-Karger–Stein enumerator, retained as
-// the oracle for the equivalence corpus and for before/after benchmarking.
-// Semantics match EnumerateMinCuts; only the size >= 3 strategy differs:
-// 3n²·log n independent single-level contractions, each paying an O(m)
-// permutation allocation, a fresh union-find, and a string-keyed dedup.
-func EnumerateMinCutsReference(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
-	if !h.Connected() {
-		return nil, fmt.Errorf("core: cut enumeration needs a connected graph")
-	}
-	switch {
-	case size <= 0:
-		return nil, fmt.Errorf("core: cut size %d out of range", size)
-	case size == 1:
-		return cutsFromBridges(h), nil
-	case size == 2:
-		return cutsFromCutPairs(h)
-	default:
-		return cutsByFlatContraction(h, size, rng)
-	}
-}
-
-// cutsByFlatContraction enumerates minimum cuts of the given size by
-// repeated single-level Karger contraction. Each minimum cut survives a
-// contraction run with probability >= 2/(n(n-1)), so O(n²·log n) runs find
-// all of them w.h.p.
-func cutsByFlatContraction(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("core: contraction enumeration requires rng")
-	}
-	lambda := h.EdgeConnectivityUpTo(size + 1)
-	if lambda > size {
-		return nil, nil // no cuts of this size: already (size+1)-connected
-	}
-	if lambda < size {
-		return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
-	}
-	n := h.N()
-	trials := 3 * n * n * (bits.Len(uint(n)) + 1)
-	if trials < 200 {
-		trials = 200
-	}
-	seen := make(map[string]bool)
-	var out []Cut
-	edges := h.Edges()
-	for trial := 0; trial < trials; trial++ {
-		uf := graph.NewUnionFind(n)
-		perm := rng.Perm(len(edges))
-		remaining := n
-		for _, ei := range perm {
-			if remaining <= 2 {
-				break
-			}
-			e := edges[ei]
-			if uf.Union(e.U, e.V) {
-				remaining--
-			}
-		}
-		if remaining != 2 {
-			continue
-		}
-		// Count crossing edges.
-		r0 := uf.Find(0)
-		crossing := 0
-		for _, e := range edges {
-			if (uf.Find(e.U) == r0) != (uf.Find(e.V) == r0) {
-				crossing++
-			}
-		}
-		if crossing != size {
-			continue
-		}
-		c := newCut(n, func(v int) bool { return uf.Find(v) != r0 })
-		if k := c.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out, nil
 }

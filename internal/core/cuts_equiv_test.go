@@ -74,9 +74,8 @@ func cutKeySet(cuts []Cut) map[string]bool {
 
 // TestEnumerateMinCutsEquivalenceCorpus asserts that the Karger–Stein
 // enumerator returns exactly the same cut sets (canonical bipartitions) as
-// the retained flat-Karger reference across all ten generator families at
-// sizes 3–5, and that the new enumerator is byte-identical at workers=1
-// vs 4.
+// the flat-Karger reference across all ten generator families at sizes
+// 3–5.
 func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 	for _, tc := range equivCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,7 +83,7 @@ func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 			if lam := g.EdgeConnectivity(); lam != tc.lambda {
 				t.Fatalf("corpus drift: λ=%d, case pins %d", lam, tc.lambda)
 			}
-			ref, err := EnumerateMinCutsReference(g, tc.lambda, rand.New(rand.NewSource(101)))
+			ref, err := enumerateMinCutsReference(g, tc.lambda, rand.New(rand.NewSource(101)))
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
@@ -99,44 +98,27 @@ func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 			if !reflect.DeepEqual(refSet, gotSet) {
 				t.Fatalf("cut sets differ: reference %d cuts, karger–stein %d cuts", len(refSet), len(gotSet))
 			}
-			par, err := EnumerateMinCutsOpts(g, tc.lambda, rand.New(rand.NewSource(202)), CutEnumOptions{Workers: 4})
-			if err != nil {
-				t.Fatalf("workers=4: %v", err)
-			}
-			if !reflect.DeepEqual(got, par) {
-				t.Fatalf("workers=1 vs 4 not byte-identical: %d vs %d cuts", len(got), len(par))
-			}
 		})
 	}
 }
 
-// TestEnumerateMinCutsParallelDeterministic pins the determinism contract
-// on a larger instance and under concurrent enumeration (the arenas come
-// from a shared sync.Pool; run with -race).
-func TestEnumerateMinCutsParallelDeterministic(t *testing.T) {
+// TestEnumerateMinCutsConcurrentDeterministic: enumerations racing over
+// the shared arena pool (as concurrent pool sweeps do) must not interfere
+// with each other, and each must match a lone run with the same seed. Run
+// with -race.
+func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 	g := graph.RandomKConnected(48, 4, 10, rand.New(rand.NewSource(5)), graph.UnitWeights())
 	size := g.EdgeConnectivity()
 	if size < 3 {
 		t.Fatalf("instance drift: λ=%d < 3", size)
 	}
-	want, err := EnumerateMinCutsOpts(g, size, rand.New(rand.NewSource(9)), CutEnumOptions{Workers: 1})
+	want, err := EnumerateMinCuts(g, size, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("no cuts found")
 	}
-	for _, workers := range []int{2, 4, 7} {
-		got, err := EnumerateMinCutsOpts(g, size, rand.New(rand.NewSource(9)), CutEnumOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d differs from workers=1", workers)
-		}
-	}
-	// Concurrent enumerations racing over the shared arena pool must not
-	// interfere with each other.
 	var wg sync.WaitGroup
 	results := make([][]Cut, 8)
 	errs := make([]error, 8)
@@ -144,8 +126,7 @@ func TestEnumerateMinCutsParallelDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := 1 + i%3
-			results[i], errs[i] = EnumerateMinCutsOpts(g, size, rand.New(rand.NewSource(9)), CutEnumOptions{Workers: w})
+			results[i], errs[i] = EnumerateMinCuts(g, size, rand.New(rand.NewSource(9)))
 		}(i)
 	}
 	wg.Wait()
@@ -156,23 +137,6 @@ func TestEnumerateMinCutsParallelDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(want, r) {
 			t.Fatalf("concurrent enumeration %d differs", i)
 		}
-	}
-}
-
-// TestEnumerateMinCutsTrialFactor: raising the trial count must never
-// change the (already complete w.h.p.) result set.
-func TestEnumerateMinCutsTrialFactor(t *testing.T) {
-	g := graph.Harary(3, 20, graph.UnitWeights())
-	base, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	more, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(1)), CutEnumOptions{TrialFactor: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cutKeySet(base), cutKeySet(more)) {
-		t.Fatalf("TrialFactor changed the cut set: %d vs %d", len(base), len(more))
 	}
 }
 
@@ -224,9 +188,6 @@ func TestCutInterner(t *testing.T) {
 	}
 	if _, new3 := it.add(b); !new3 {
 		t.Fatal("distinct add not new")
-	}
-	if !it.addCut(Cut{side: []uint64{9, 9, 9}}) || it.addCut(c1) {
-		t.Fatal("addCut dedup wrong")
 	}
 	// Mutating the input after add must not affect the interned copy.
 	a[0] = 77
@@ -323,16 +284,109 @@ func cutSliceDigest(cuts []Cut) uint64 {
 	return h
 }
 
-// TestGrayCodeMatchesRecountLarge pins the gray-code leaf sweep against the
-// per-mask recount oracle on ring-like instances at n=4096 — large enough
-// that the contraction tree is ~19 levels deep and the sweep's incremental
-// crossing counts, sibling-shared leaf materialisation, and composed
-// component maps all operate far outside the small-n regime the corpus
-// above covers. MaxTrials caps the Karger–Stein schedule to a smoke (capped
-// runs may miss cuts; irrelevant here — both evaluators walk the same
-// capped trajectory), and with identical seeds the two must return
-// byte-identical cut slices, as must workers=1 vs 4. The doubled cycle is
-// cut-dense (a single capped trial materialises >10^6 bipartitions), so its
+// TestEnumerateBaseMatchesRecount pins the gray-code leaf sweep against
+// the per-mask recount oracle on multigraph leaves of 2..ksBase
+// supernodes, on both the <= 64-edge bitmask path and the > 64-edge
+// multiplicity-matrix path. Half the leaves are random multigraphs, whose
+// minimum cuts are mostly single supernodes; the other half are rings of
+// parallel bundles, where every arc is a minimum cut. Each leaf sits one
+// contraction below a level of original vertices, so vertex 0's supernode
+// is not always supernode 0 and the materialised bipartitions go through
+// composeIDs. size is the leaf's edge connectivity, the only size the
+// enumerator is ever asked for.
+func TestEnumerateBaseMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	a := new(cutArena)
+	for trial := 0; trial < 400; trial++ {
+		nodes := 2 + rng.Intn(ksBase-1)
+		matrix := trial%2 == 1
+		n := nodes + rng.Intn(10)
+		comp := make([]int32, n) // original vertex -> leaf supernode, onto
+		for v := range comp {
+			comp[v] = int32(v % nodes)
+			if v >= nodes {
+				comp[v] = int32(rng.Intn(nodes))
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { comp[i], comp[j] = comp[j], comp[i] })
+		var edges []ksEdge
+		add := func(u, v int) {
+			edges = append(edges, ksEdge{u: int32(u), v: int32(v), id: int32(len(edges))})
+		}
+		if trial%4 >= 2 {
+			mult := 1 + rng.Intn(64/nodes)
+			if matrix {
+				mult = 64/nodes + 1 + rng.Intn(8)
+			}
+			for i := 0; i < nodes; i++ {
+				for j := 0; j < mult; j++ {
+					add(i, (i+1)%nodes)
+				}
+			}
+		} else {
+			m := nodes - 1 + rng.Intn(66-nodes)
+			if matrix {
+				m = 65 + rng.Intn(60)
+			}
+			for i := 0; i < m; i++ {
+				if i < nodes-1 {
+					add(i, i+1) // a path first keeps the leaf connected
+					continue
+				}
+				u, v := rng.Intn(nodes), rng.Intn(nodes)
+				for u == v {
+					v = rng.Intn(nodes)
+				}
+				add(u, v)
+			}
+		}
+		m := len(edges)
+		if (m > 64) != matrix {
+			t.Fatalf("trial %d: %d edges do not reach the intended leaf path", trial, m)
+		}
+		size := m
+		for mask := 1; mask < 1<<uint(nodes)-1; mask++ {
+			crossing := 0
+			for _, e := range edges {
+				if (mask>>uint(e.u))&1 != (mask>>uint(e.v))&1 {
+					crossing++
+				}
+			}
+			size = min(size, crossing)
+		}
+		run := func(leaf func(depth, size int)) ([]Cut, int64) {
+			a.prepare(n, 1, size)
+			a.levels[0].nodes = n
+			a.levels[0].comp = comp
+			leafLv := &a.levels[1]
+			leafLv.nodes, leafLv.v0, leafLv.edges = nodes, comp[0], edges
+			leaf(1, size)
+			out := append([]Cut(nil), a.fresh...)
+			sortCuts(out)
+			return out, a.steps
+		}
+		gray, graySteps := run(a.enumerateBase)
+		want, wantSteps := run(a.enumerateBaseRecount)
+		if len(want) == 0 {
+			t.Fatalf("trial %d: oracle found no cut of size λ=%d", trial, size)
+		}
+		if !reflect.DeepEqual(gray, want) || graySteps != wantSteps {
+			t.Fatalf("trial %d (nodes=%d m=%d λ=%d): sweep %d cuts / %d steps, recount %d cuts / %d steps",
+				trial, nodes, m, size, len(gray), graySteps, len(want), wantSteps)
+		}
+	}
+}
+
+// TestGrayCodeMatchesRecountLarge runs the capped trial loop on ring-like
+// instances at n=4096 — large enough that the contraction tree is ~19
+// levels deep and the sweep's incremental crossing counts, sibling-shared
+// leaf materialisation, and composed component maps all operate far
+// outside the small-n regime the corpus above covers. A capped run may miss
+// cuts, so it is checked by digest instead: the same seed must give the
+// same cut slice twice, and the slice pinned when the per-mask recount
+// still ran beside the sweep on these exact trajectories (leaf-level
+// equivalence is TestEnumerateBaseMatchesRecount). The doubled cycle is
+// cut-dense (a single capped trial materialises >10^6 bipartitions), so
 // runs are compared by order-sensitive digest and released one at a time
 // instead of held side by side.
 func TestGrayCodeMatchesRecountLarge(t *testing.T) {
@@ -340,58 +394,29 @@ func TestGrayCodeMatchesRecountLarge(t *testing.T) {
 		t.Skip("n=4096 equivalence family; skipped in -short")
 	}
 	u := graph.UnitWeights()
-
-	t.Run("harary-ring/k=3/n=4096", func(t *testing.T) {
-		g := graph.Harary(3, 4096, u)
-		// KnownConnectivity skips the capped max-flow λ verification, which
-		// at n=4096 would dominate the whole test.
-		opts := CutEnumOptions{KnownConnectivity: 3, MaxTrials: 2}
-		sweep, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(77)), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sweep) == 0 {
-			t.Fatal("capped run found no cuts; family or cap drifted")
-		}
-		ro := opts
-		ro.LeafRecount = true
-		recount, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(77)), ro)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sweep, recount) {
-			t.Fatalf("gray-code sweep and recount diverge: %d vs %d cuts", len(sweep), len(recount))
-		}
-		po := opts
-		po.Workers = 4
-		par, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(77)), po)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sweep, par) {
-			t.Fatalf("workers=1 vs 4 not byte-identical: %d vs %d cuts", len(sweep), len(par))
-		}
-	})
-
-	t.Run("cycle-x2/k=4/n=4096", func(t *testing.T) {
-		g := multiplyEdges(graph.Cycle(4096, u), 2)
-		opts := CutEnumOptions{KnownConnectivity: 4, MaxTrials: 1}
-		run := func(o CutEnumOptions) (int, uint64) {
-			cuts, err := EnumerateMinCutsOpts(g, 4, rand.New(rand.NewSource(77)), o)
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name       string
+		g          *graph.Graph
+		size       int
+		trials     int
+		wantCuts   int
+		wantDigest uint64
+	}{
+		{"harary-ring/k=3/n=4096", graph.Harary(3, 4096, u), 3, 2, 3108, 0xb3d297bce7c3852c},
+		{"cycle-x2/k=4/n=4096", multiplyEdges(graph.Cycle(4096, u), 2), 4, 1, 1110404, 0x751a1aea652e479e},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() (int, uint64) {
+				cuts := contractionTrials(tc.g, tc.size, tc.trials, rand.New(rand.NewSource(77)), nil)
+				return len(cuts), cutSliceDigest(cuts)
 			}
-			return len(cuts), cutSliceDigest(cuts)
-		}
-		n1, d1 := run(opts)
-		if n1 == 0 {
-			t.Fatal("capped run found no cuts; family or cap drifted")
-		}
-		ro := opts
-		ro.LeafRecount = true
-		n2, d2 := run(ro)
-		if n1 != n2 || d1 != d2 {
-			t.Fatalf("gray-code sweep and recount diverge: %d/%#x vs %d/%#x cuts", n1, d1, n2, d2)
-		}
-	})
+			n1, d1 := run()
+			if n1 != tc.wantCuts || d1 != tc.wantDigest {
+				t.Fatalf("capped run gave %d cuts / %#x, want %d / %#x", n1, d1, tc.wantCuts, tc.wantDigest)
+			}
+			if n2, d2 := run(); n2 != n1 || d2 != d1 {
+				t.Fatalf("same seed, different output: %d/%#x then %d/%#x", n1, d1, n2, d2)
+			}
+		})
+	}
 }

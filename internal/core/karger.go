@@ -28,7 +28,7 @@ package core
 // popcount per bipartition instead of an O(m_leaf) recount — and the
 // crossing edge IDs are gathered only for the rare bipartitions whose
 // count equals the target (the sweep is output-sensitive; the per-mask
-// recount survives behind CutEnumOptions.LeafRecount as the reference).
+// recount it replaced survives in the tests as its oracle).
 // Fourth, sibling-shared materialisation: the original-vertex → supernode
 // composition is cached per level with a valid-prefix watermark, so the
 // O(n)-per-level composing work for a leaf's first-sighted cut is shared
@@ -44,12 +44,10 @@ package core
 // (the interned signature plus the materialised bitset, carved from a
 // shared block).
 //
-// Determinism contract (the same one internal/service established for
-// sweeps): trial t always draws from a private RNG seeded baseSeed XOR t,
-// where baseSeed is one Int63 drawn from the caller's RNG; trial results
-// merge in trial order; the merged set is sorted canonically. Together
-// these make the output byte-identical at any CutEnumOptions.Workers value
-// and under any goroutine scheduling.
+// Determinism contract: trial t always draws from a private RNG seeded
+// baseSeed XOR t, where baseSeed is one Int63 drawn from the caller's RNG,
+// and the cuts found are sorted canonically. The output is therefore a
+// function of the graph and that one draw alone.
 
 import (
 	"fmt"
@@ -59,7 +57,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/service"
 )
 
 // ksBase is the supernode count at which contraction stops and the trial
@@ -117,19 +114,9 @@ type ksLevel struct {
 	newid  []int32  // root -> dense child label
 }
 
-// ksStats counts what the base-case sweeps of one arena did. leaves and
-// steps are per-trial quantities, so their totals across a run are
-// deterministic at any worker count (unlike per-arena first-sighting
-// counts, which depend on trial→arena assignment).
-type ksStats struct {
-	leaves int64 // base-case enumerations executed
-	steps  int64 // bipartitions visited across all leaves
-}
-
-// cutArena owns every buffer a contraction worker needs. Arenas are
-// recycled through arenaPool; prepare resets them for a new graph. An arena
-// is single-goroutine state: the parallel driver hands each arena to one
-// worker at a time.
+// cutArena owns every buffer a contraction run needs. Arenas are recycled
+// through arenaPool; prepare resets them for a new graph. An arena is
+// single-goroutine state: one enumeration holds it from Get to Put.
 //
 //kecss:arena
 type cutArena struct {
@@ -138,8 +125,7 @@ type cutArena struct {
 	side     []uint64
 	sig      []int32 // crossing-edge signature scratch
 	idsValid int     // deepest level whose ids cache is current (level 0 always is)
-	recount  bool    // use the per-mask recount oracle instead of the gray sweep
-	stats    ksStats
+	steps    int64   // bipartitions visited across all leaves since prepare
 	rng      ksRand
 	sigs     sigInterner
 	store    cutStore
@@ -217,7 +203,7 @@ func (a *cutArena) prepare(n, maxDepth, size int) {
 		lv0.ids[v] = int32(v)
 	}
 	a.idsValid = 0
-	a.stats = ksStats{}
+	a.steps = 0
 	a.fresh = a.fresh[:0]
 	a.sigs.reset(size)
 	a.store.reset(n)
@@ -266,7 +252,6 @@ func ksDepth(n int) int {
 // (doubled cycles: 65 trials to full coverage at n=96 over 30 seeds, vs
 // 192 here) while ordinary families cover within ~14 trials; the
 // exhaustive <= ksBase base case is what makes trials this productive.
-// TrialFactor in CutEnumOptions scales it for callers wanting more margin.
 func ksTrials(n int) int {
 	l := bits.Len(uint(n)) + 1
 	t := 3 * l * l
@@ -409,7 +394,7 @@ func (a *cutArena) contractInto(depth, target int) {
 // the flipped supernode, so with per-supernode incident-edge bitmasks the
 // crossing set updates with one XOR and the crossing count is one popcount
 // — no per-step dependence on the leaf's edge count. The set of visited
-// masks is identical to the recount's ascending scan; only the order
+// masks is identical to an ascending mask scan's; only the order
 // differs, which the signature dedup and the final canonical sort make
 // immaterial.
 func (a *cutArena) enumerateBase(depth, size int) {
@@ -421,11 +406,6 @@ func (a *cutArena) enumerateBase(depth, size int) {
 	if cap(a.sig) < size {
 		a.sig = make([]int32, size)
 	}
-	a.stats.leaves++
-	if a.recount {
-		a.enumerateBaseRecount(depth, size)
-		return
-	}
 	nodes := lv.nodes
 	var free [ksBase]int32
 	nf := 0
@@ -436,7 +416,7 @@ func (a *cutArena) enumerateBase(depth, size int) {
 		}
 	}
 	steps := uint32(1) << uint(nf)
-	a.stats.steps += int64(steps) - 1
+	a.steps += int64(steps) - 1
 	if m <= 64 {
 		// Per-supernode incident-edge bitmasks over the (deep leaves are
 		// sparse) <= 64 surviving edges: crossSet's bit i says edge i
@@ -502,32 +482,6 @@ func (a *cutArena) enumerateBase(depth, size int) {
 	}
 }
 
-// enumerateBaseRecount is the pre-gray-code base case: an ascending mask
-// scan recounting crossings from scratch per bipartition. Retained behind
-// CutEnumOptions.LeafRecount as the oracle the sweep is tested against.
-func (a *cutArena) enumerateBaseRecount(depth, size int) {
-	lv := &a.levels[depth]
-	for mask := 1; mask < 1<<uint(lv.nodes); mask++ {
-		if mask&(1<<uint(lv.v0)) != 0 {
-			continue // canonical orientation: vertex 0's supernode stays out
-		}
-		a.stats.steps++
-		crossing := 0
-		for i := range lv.edges {
-			e := &lv.edges[i]
-			if (mask>>uint(e.u))&1 != (mask>>uint(e.v))&1 {
-				crossing++
-				if crossing > size {
-					break
-				}
-			}
-		}
-		if crossing == size {
-			a.recordLeafCut(depth, mask, size)
-		}
-	}
-}
-
 // recordLeafCrossSet is recordLeafCut for the bitmask sweep: the crossing
 // edge set is already in hand as a bitmask, so the signature gathers its
 // exactly `size` set bits directly instead of rescanning the edge list.
@@ -544,7 +498,7 @@ func (a *cutArena) recordLeafCrossSet(depth, mask, size int, cross uint64) {
 
 // recordLeafCut handles a bipartition with exactly `size` crossing edges:
 // gather its crossing-edge signature by an O(m_leaf) edge scan (the matrix
-// and recount paths have no crossing bitmask in hand), then commit it.
+// path has no crossing bitmask in hand), then commit it.
 func (a *cutArena) recordLeafCut(depth, mask, size int) {
 	lv := &a.levels[depth]
 	sig := a.sig[:size]
@@ -614,9 +568,8 @@ func (a *cutArena) composeIDs(depth int) []int32 {
 }
 
 // cutsByContraction enumerates all minimum cuts of h (whose edge
-// connectivity must equal size) by deterministic, optionally parallel
-// Karger–Stein trials. See the file comment for the scheme and the
-// determinism contract.
+// connectivity must equal size) by ksTrials(n) Karger–Stein trials. See the
+// file comment for the scheme and the determinism contract.
 func cutsByContraction(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOptions) ([]Cut, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("core: contraction enumeration requires rng")
@@ -640,94 +593,38 @@ func cutsByContraction(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOpt
 			return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lambda, size)
 		}
 	}
+	return contractionTrials(h, size, ksTrials(h.N()), rng, opts.Phase), nil
+}
+
+// contractionTrials runs `trials` Karger–Stein trials on h, whose edge
+// connectivity must equal size, and returns the cuts they find, sorted
+// canonically. Only the full ksTrials schedule makes the result complete
+// w.h.p.; tests pass a smaller count to walk a capped trajectory.
+func contractionTrials(h *graph.Graph, size, trials int, rng *rand.Rand, phase PhaseObserver) []Cut {
 	n := h.N()
-	trials := ksTrials(n)
-	if opts.TrialFactor > 1 {
-		trials *= opts.TrialFactor
-	}
-	if opts.MaxTrials > 0 && trials > opts.MaxTrials {
-		trials = opts.MaxTrials
-	}
-	maxDepth := ksDepth(n)
 	base := make([]ksEdge, h.M())
 	for i, e := range h.Edges() {
 		base[i] = ksEdge{u: int32(e.U), v: int32(e.V), id: int32(e.ID)}
 	}
 	baseSeed := rng.Int63()
 
-	workers := opts.Workers
-	if workers > trials {
-		workers = trials
-	}
-	sweepStart := opts.Phase.phaseStart()
-	if workers <= 1 {
-		// Sequential: one arena, whose intern table is the global dedup, so
-		// already-seen bipartitions cost no allocation at all.
-		a := arenaPool.Get().(*cutArena)
-		a.prepare(n, maxDepth, size)
-		a.recount = opts.LeafRecount
-		out := make([]Cut, 0, 16)
-		for t := 0; t < trials; t++ {
-			a.rng.seed(baseSeed ^ int64(t))
-			a.fresh = a.fresh[:0]
-			a.runTrial(base, size)
-			out = append(out, a.fresh...)
-		}
-		st := a.stats
-		arenaPool.Put(a)
-		opts.Phase.emit(PhaseEvent{Phase: "ks-sweep", Start: sweepStart, Iterations: trials, Items: int(st.steps)})
-		matStart := opts.Phase.phaseStart()
-		sortCuts(out)
-		opts.Phase.emit(PhaseEvent{Phase: "ks-materialise", Start: matStart, Items: len(out)})
-		return out, nil
-	}
-
-	// Parallel: each worker borrows one arena per trial from a shared ring;
-	// an arena dedups across all trials it happens to serve. found[t] holds
-	// the cuts trial t's arena saw for the first time; merging in trial
-	// order then reproduces the sequential first-occurrence order exactly
-	// (the globally first occurrence of a cut is necessarily fresh for
-	// whichever arena runs it).
-	arenas := make(chan *cutArena, workers)
-	for w := 0; w < workers; w++ {
-		a := arenaPool.Get().(*cutArena)
-		a.prepare(n, maxDepth, size)
-		a.recount = opts.LeafRecount
-		arenas <- a
-	}
-	found := make([][]Cut, trials)
-	service.Do(workers, trials, func(t int) {
-		a := <-arenas
+	sweepStart := phase.phaseStart()
+	// One arena serves every trial, so its intern table is the global
+	// dedup and already-seen bipartitions cost no allocation at all.
+	a := arenaPool.Get().(*cutArena)
+	a.prepare(n, ksDepth(n), size)
+	out := make([]Cut, 0, 16)
+	for t := 0; t < trials; t++ {
 		a.rng.seed(baseSeed ^ int64(t))
 		a.fresh = a.fresh[:0]
 		a.runTrial(base, size)
-		if len(a.fresh) > 0 {
-			found[t] = append([]Cut(nil), a.fresh...)
-		}
-		arenas <- a
-	})
-	var st ksStats
-	for w := 0; w < workers; w++ {
-		a := <-arenas
-		// leaves/steps are per-trial totals, so this sum is independent of
-		// which arena served which trial.
-		st.leaves += a.stats.leaves
-		st.steps += a.stats.steps
-		arenaPool.Put(a)
+		out = append(out, a.fresh...)
 	}
-	opts.Phase.emit(PhaseEvent{Phase: "ks-sweep", Start: sweepStart, Iterations: trials, Items: int(st.steps)})
-	matStart := opts.Phase.phaseStart()
-	var merge cutInterner
-	merge.reset(n)
-	var out []Cut
-	for _, fs := range found {
-		for _, c := range fs {
-			if merge.addCut(c) {
-				out = append(out, c)
-			}
-		}
-	}
+	steps := a.steps
+	arenaPool.Put(a)
+	phase.emit(PhaseEvent{Phase: "ks-sweep", Start: sweepStart, Iterations: trials, Items: int(steps)})
+	matStart := phase.phaseStart()
 	sortCuts(out)
-	opts.Phase.emit(PhaseEvent{Phase: "ks-materialise", Start: matStart, Items: len(out)})
-	return out, nil
+	phase.emit(PhaseEvent{Phase: "ks-materialise", Start: matStart, Items: len(out)})
+	return out
 }

@@ -39,15 +39,6 @@ type ThreeECSSOptions struct {
 	// engine (cycles.Arena ownership rules apply: one live engine at a
 	// time, one arena per goroutine). Defaults to unpooled scratch.
 	LabelArena *cycles.Arena
-	// ReferenceLabeling re-runs the full distributed label scan over H ∪ A
-	// every iteration (the retained from-scratch path,
-	// cycles.Incremental.RelabelScan) instead of applying the O(|added|·
-	// height) incremental XOR updates. Results are identical — the
-	// equivalence corpus pins this — only the round accounting and the
-	// wall-clock differ. Used by tests and ablations.
-	ReferenceLabeling bool
-	// MaxIterations caps the loop (0 = generous O(log³ n) default).
-	MaxIterations int
 	// Rebalance enables the §5 tree rebalancing: when the labeling tree of
 	// H ∪ A is tall (ring-like bases drive it to Θ(n)) and a BFS of G
 	// restricted to the current H ∪ A would at least halve it, the engine
@@ -56,17 +47,11 @@ type ThreeECSSOptions struct {
 	// rebuild re-runs the measured distributed base scan (charged, and
 	// reported as a "rebalance" PhaseEvent) and resamples the non-tree
 	// labels from Rng, so rebalanced runs are deterministic but follow a
-	// different random trajectory than unrebalanced ones. Ignored under
-	// ReferenceLabeling (the oracle path keeps its fixed tree).
+	// different random trajectory than unrebalanced ones.
 	Rebalance bool
 	// SkipValidation skips the up-front 3-edge-connectivity check of the
 	// input graph (see KECSSOptions.SkipValidation).
 	SkipValidation bool
-	// CutEnum tunes the exact min-cut enumeration used by the correction
-	// path that runs if the w.h.p. label-based termination missed a cut
-	// pair (see CutEnumOptions). The size-2 enumeration is exact, so only
-	// future size >= 3 uses of the knob consume its trial settings.
-	CutEnum CutEnumOptions
 	// Phase, if set, receives a PhaseEvent per completed phase (validate,
 	// base, base-label, augment, correction). Nil costs nothing.
 	Phase PhaseObserver
@@ -91,16 +76,15 @@ type ThreeECSSResult struct {
 	Iterations int
 	// Rounds combines the measured label-scan rounds with the charged
 	// per-iteration costs: the 2D cost-effectiveness aggregations, the
-	// O(height + |added|) incremental label dissemination (absent under
-	// ReferenceLabeling, where every scan is measured instead), and — on
-	// the rare empty-pool exit — the one discarded final aggregation
+	// O(height + |added|) incremental label dissemination, and — on the
+	// rare empty-pool exit — the one discarded final aggregation
 	// (Theorem 1.3: O(D·log³n)).
 	Rounds int64
 	// LabelRoundsMeasured is the simulator-measured part of Rounds: the
-	// initial base label scan, plus every per-iteration rescan when
-	// ReferenceLabeling is set. Incremental label updates are charged
-	// analytically (O(height + |added|) per iteration) and therefore count
-	// toward Rounds but not toward this field.
+	// base label scan, plus each rebuild scan when Rebalance fires.
+	// Incremental label updates are charged analytically (O(height +
+	// |added|) per iteration) and therefore count toward Rounds but not
+	// toward this field.
 	LabelRoundsMeasured int64
 	// CorrectionEdges counts edges added by the exact fallback that runs if
 	// the w.h.p. label-based termination missed a cut pair (expected 0).
@@ -188,9 +172,7 @@ const (
 // (cycles.Incremental): the BFS tree and labels of H are computed once
 // (distributed, measured), and each iteration only samples labels for the
 // newly activated candidates and XORs them along their tree paths, with an
-// O(height + |added|) dissemination charge. opts.ReferenceLabeling instead
-// re-runs the full measured scan each iteration (labelSubgraphReference) —
-// same results, different cost model.
+// O(height + |added|) dissemination charge.
 func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, acc *rounds.Accountant) (*ThreeECSSResult, error) {
 	bits := opts.LabelBits
 	if bits == 0 {
@@ -202,16 +184,13 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	if phaseLen == 0 {
 		phaseLen = 1
 	}
-	maxIters := opts.MaxIterations
-	if maxIters == 0 {
-		maxIters = 20*logn*logn*logn + 200
-	}
+	maxIters := iterationCap(logn)
 	var simOpts []congest.Option
 	if opts.Executor != nil {
 		simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
 	}
-	// The label scans run short-lived networks over g — the base scan once,
-	// plus one per iteration under ReferenceLabeling — the arena's best case.
+	// The label scans run short-lived networks over g — the base scan, plus
+	// one per Rebalance rebuild — the arena's best case.
 	simOpts = congest.WithDefaultArena(simOpts)
 	if opts.Arena != nil {
 		simOpts = append(simOpts, congest.WithArena(opts.Arena))
@@ -250,54 +229,26 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	var pool []int // candidate edge IDs at the maximum rounded value
 	var added []int
 
-	// The default path evaluates candidates output-sensitively: a
-	// cycles.CoverIndex keeps every candidate's |Ce| current under the
-	// engine's label updates (recomputing only candidates whose covering
-	// tree edges changed), and expBuckets keep them sorted by rounded
-	// exponent, so Lines 1–2 cost O(pool + changed candidates) per
-	// iteration instead of an O(m·height) rescan. The ReferenceLabeling
-	// oracle path below retains the full per-iteration rescan; the
-	// equivalence corpus pins the two paths to identical results.
-	var (
-		cover   *cycles.CoverIndex
-		bk      *expBuckets
-		candIDs []int
-		candIdx []int32 // host edge ID -> candidate index, -1 outside the pool
-	)
-	expFor := func(id int, ce int64) int {
-		if !weighted {
-			return tap.RoundedExp(ce, 1)
-		}
-		if w := g.Edge(id).W; w > 0 {
-			return tap.RoundedExp(ce, w)
-		}
-		return infExp // weight-0 edges have infinite cost-effectiveness
+	// Candidates are evaluated output-sensitively: a cycles.CoverIndex
+	// keeps every candidate's |Ce| current under the engine's label updates
+	// (recomputing only candidates whose covering tree edges changed), and
+	// expBuckets keep them sorted by rounded exponent, so Lines 1–2 cost
+	// O(pool + changed candidates) per iteration instead of an O(m·height)
+	// rescan.
+	candIDs := make([]int, 0, g.M()-len(h))
+	candIdx := make([]int32, g.M()) // host edge ID -> candidate index, -1 outside the pool
+	for i := range candIdx {
+		candIdx[i] = -1
 	}
-	refreshBuckets := func() {
-		cover.Refresh(func(i int, ce int64) {
-			if ce == 0 {
-				bk.remove(i)
-				return
-			}
-			bk.update(i, expFor(candIDs[i], ce))
-		})
-	}
-	if !opts.ReferenceLabeling {
-		candIDs = make([]int, 0, g.M()-len(h))
-		candIdx = make([]int32, g.M())
-		for i := range candIdx {
-			candIdx[i] = -1
+	for _, e := range g.Edges() {
+		if selected[e.ID] {
+			continue
 		}
-		for _, e := range g.Edges() {
-			if selected[e.ID] {
-				continue
-			}
-			candIdx[e.ID] = int32(len(candIDs))
-			candIDs = append(candIDs, e.ID)
-		}
-		cover = cycles.NewCoverIndex(eng, candIDs)
-		bk = newExpBuckets(len(candIDs))
+		candIdx[e.ID] = int32(len(candIDs))
+		candIDs = append(candIDs, e.ID)
 	}
+	cover := cycles.NewCoverIndex(eng, candIDs)
+	bk := newExpBuckets(len(candIDs))
 
 	loopStart := opts.Phase.phaseStart()
 	roundsAtLoop := acc.Total()
@@ -309,31 +260,10 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 
 		// Lines 1–2: cost-effectiveness via Claim 5.8 (unit weights:
 		// ρ(e) = |Ce|), candidates at the maximum rounded value.
-		best := -(1 << 30)
-		if cover != nil {
-			refreshBuckets()
-			pool, best = bk.pool(pool[:0], candIDs)
-			sort.Ints(pool) // the legacy scan produced ascending IDs
-		} else {
-			pool = pool[:0]
-			for _, e := range g.Edges() {
-				if selected[e.ID] {
-					continue
-				}
-				ce := eng.CoverCount(e.U, e.V)
-				if ce == 0 {
-					continue
-				}
-				exp := expFor(e.ID, ce)
-				if exp > best {
-					best = exp
-					pool = pool[:0]
-				}
-				if exp == best {
-					pool = append(pool, e.ID)
-				}
-			}
-		}
+		refreshBuckets(g, weighted, cover, bk, candIDs)
+		var best int
+		pool, best = bk.pool(pool[:0], candIDs)
+		sort.Ints(pool) // activation draws follow ascending edge IDs
 		if len(pool) == 0 {
 			// Labels say not 3-edge-connected but no candidate covers
 			// anything: fall through to the exact correction below. The
@@ -362,33 +292,22 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 			}
 		}
 		if len(added) > 0 {
-			if cover != nil {
-				// Deactivate before AddEdges so the activation's own label
-				// churn does not dirty the leaving candidates.
-				for _, id := range added {
-					cover.Deactivate(int(candIdx[id]))
-					bk.remove(int(candIdx[id]))
-				}
+			// Deactivate before AddEdges so the activation's own label
+			// churn does not dirty the leaving candidates.
+			for _, id := range added {
+				cover.Deactivate(int(candIdx[id]))
+				bk.remove(int(candIdx[id]))
 			}
 			eng.AddEdges(added)
 			for _, id := range added {
 				selected[id] = true
 				sel = append(sel, id)
 			}
-			if opts.ReferenceLabeling {
-				labelRounds, err := labelSubgraphReference(eng, simOpts)
-				if err != nil {
-					return nil, err
-				}
-				res.LabelRoundsMeasured += labelRounds
-				acc.Charge(chargeLabelScans, labelRounds)
-			} else {
-				// Dissemination of the new labels: each activated edge's
-				// label floods its tree path; pipelined along the fixed
-				// tree this is O(height + |added|) rounds.
-				acc.Charge(chargeLabelUpdates, height+int64(len(added)))
-			}
-			if opts.Rebalance && cover != nil {
+			// Dissemination of the new labels: each activated edge's label
+			// floods its tree path; pipelined along the fixed tree this is
+			// O(height + |added|) rounds.
+			acc.Charge(chargeLabelUpdates, height+int64(len(added)))
+			if opts.Rebalance {
 				// §5 rebalance: probe whether a BFS of G restricted to the
 				// current H ∪ A would at least halve the labeling tree, and
 				// only then rebuild the engine over it. The probe runs only
@@ -434,7 +353,7 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	// certify, and a genuine cut pair always leaves a positive-CoverCount
 	// candidate while g is 3-edge-connected — see correctTo3EC's test.)
 	t0 = opts.Phase.phaseStart()
-	corrections, err := correctTo3EC(g, selected, &sel, opts.CutEnum)
+	corrections, err := correctTo3EC(g, selected, &sel)
 	if err != nil {
 		return nil, err
 	}
@@ -449,15 +368,34 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	return res, nil
 }
 
-// labelSubgraphReference is the retained from-scratch labeling path: a full
-// distributed label scan over the current H ∪ A (same tree, same non-tree
-// labels), measured on the simulator. See cycles.Incremental.RelabelScan.
-func labelSubgraphReference(eng *cycles.Incremental, simOpts []congest.Option) (int64, error) {
-	labelRounds, err := eng.RelabelScan(simOpts...)
-	if err != nil {
-		return 0, fmt.Errorf("core: relabeling H∪A: %w", err)
+// iterationCap bounds the Aug_k and §5 covering loops: a generous
+// O(log³ n) multiple of the w.h.p. iteration bound, reached only if the
+// activation schedule stalls.
+func iterationCap(logn int) int { return 20*logn*logn*logn + 200 }
+
+// refreshBuckets moves every candidate whose cover count the index reports
+// as changed into the bucket of its rounded cost-effectiveness, or out of
+// the buckets once it covers nothing.
+func refreshBuckets(g *graph.Graph, weighted bool, cover *cycles.CoverIndex, bk *expBuckets, candIDs []int) {
+	cover.Refresh(func(i int, ce int64) {
+		if ce == 0 {
+			bk.remove(i)
+			return
+		}
+		bk.update(i, ceExp(g, weighted, candIDs[i], ce))
+	})
+}
+
+// ceExp is the rounded exponent of a candidate's cost-effectiveness: |Ce|
+// for the unweighted objective, |Ce|/w(e) for the §5.4 weighted one.
+func ceExp(g *graph.Graph, weighted bool, id int, ce int64) int {
+	if !weighted {
+		return tap.RoundedExp(ce, 1)
 	}
-	return labelRounds, nil
+	if w := g.Edge(id).W; w > 0 {
+		return tap.RoundedExp(ce, w)
+	}
+	return infExp // weight-0 edges have infinite cost-effectiveness
 }
 
 // correctTo3EC brings a 2-edge-connected selection the last step to
@@ -465,14 +403,14 @@ func labelSubgraphReference(eng *cycles.Incremental, simOpts []congest.Option) (
 // cover one per round trip. Each round trip builds the selected subgraph
 // once and shares it between the connectivity check and the cut
 // enumeration. Returns the number of edges added.
-func correctTo3EC(g *graph.Graph, selected []bool, sel *[]int, enumOpts CutEnumOptions) (int, error) {
+func correctTo3EC(g *graph.Graph, selected []bool, sel *[]int) (int, error) {
 	corrections := 0
 	for {
 		sub, _ := g.SubgraphOf(*sel)
 		if sub.IsKEdgeConnected(3) {
 			return corrections, nil
 		}
-		added, err := coverOneCutPairExactly(g, sub, selected, sel, enumOpts)
+		added, err := coverOneCutPairExactly(g, sub, selected, sel)
 		if err != nil {
 			return corrections, err
 		}
@@ -485,8 +423,8 @@ func correctTo3EC(g *graph.Graph, selected []bool, sel *[]int, enumOpts CutEnumO
 // it 2-edge-connected, so a not-yet-3-connected selection has λ = 2) — and
 // adds the smallest-ID edge of g crossing the first one. Returns the number
 // of edges added (always 1 on success).
-func coverOneCutPairExactly(g *graph.Graph, sub *graph.Graph, selected []bool, sel *[]int, enumOpts CutEnumOptions) (int, error) {
-	cuts, err := EnumerateMinCutsOpts(sub, 2, nil, enumOpts)
+func coverOneCutPairExactly(g *graph.Graph, sub *graph.Graph, selected []bool, sel *[]int) (int, error) {
+	cuts, err := EnumerateMinCuts(sub, 2, nil)
 	if err != nil {
 		return 0, fmt.Errorf("core: enumerating remaining cut pairs: %w", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/baselines"
@@ -12,61 +13,163 @@ import (
 	"repro/internal/rounds"
 )
 
-// solve3 runs one 3-ECSS solve with the given labeling strategy. All corpus
-// instances are λ >= 3 (the same generator families the cut-enumeration
-// corpus pins), so both variants accept them.
-func solve3(t *testing.T, g *graph.Graph, weighted bool, seed int64, ref, parallel bool) *ThreeECSSResult {
+// solve3 runs one 3-ECSS solve. All corpus instances are λ >= 3 (the same
+// generator families the cut-enumeration corpus pins), so both variants
+// accept them.
+func solve3(t *testing.T, g *graph.Graph, weighted bool, opts ThreeECSSOptions) *ThreeECSSResult {
 	t.Helper()
-	opts := ThreeECSSOptions{
-		Rng:               rand.New(rand.NewSource(seed)),
-		ReferenceLabeling: ref,
-	}
-	if parallel {
-		opts.Executor = congest.ParallelExecutor{}
-	}
 	solve := Solve3ECSSUnweighted
 	if weighted {
 		solve = Solve3ECSSWeighted
 	}
 	res, err := solve(g, opts)
 	if err != nil {
-		t.Fatalf("solve3 (weighted=%v, ref=%v): %v", weighted, ref, err)
+		t.Fatalf("solve3 (weighted=%v): %v", weighted, err)
 	}
 	return res
 }
 
-// TestSolve3ECSSLabelingEquivalenceCorpus asserts, across the ten generator
-// families of the cut-enumeration corpus, that the incremental labeling
-// engine and the retained from-scratch reference scan drive Solve3ECSS to
-// exactly the same result — same edges, size, weight, base, iterations and
-// corrections (round totals legitimately differ: the reference measures
-// every per-iteration scan, the incremental engine charges its updates) —
-// and that the incremental engine is byte-identical under the parallel
-// executor (run with -race in CI).
+// TestSolve3ECSSLabelingEquivalenceCorpus checks, across the ten generator
+// families of the cut-enumeration corpus, the components the §5 loop is
+// built from and the solve they drive. Along a seeded activation sequence
+// from each base H (unweighted and weighted), after every AddEdges:
+//   - the expBuckets pool the loop reads equals a full CoverCount scan of
+//     every unselected edge (the from-scratch Lines 1–2), and
+//   - a from-scratch RelabelScan leaves the engine's labels and its
+//     termination predicate unchanged.
+//
+// The solve itself must be byte-identical under the parallel executor and
+// with recycled simulation and labeling arenas (run with -race in CI).
 func TestSolve3ECSSLabelingEquivalenceCorpus(t *testing.T) {
+	la := cycles.NewLabelArena()
+	na := congest.NewArena()
 	for _, tc := range equivCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.build()
 			for _, weighted := range []bool{false, true} {
-				inc := solve3(t, g, weighted, 42, false, false)
-				ref := solve3(t, g, weighted, 42, true, false)
-				if !reflect.DeepEqual(inc.Edges, ref.Edges) {
-					t.Fatalf("weighted=%v: edges differ: incremental %d edges, reference %d",
-						weighted, len(inc.Edges), len(ref.Edges))
-				}
-				if inc.Size != ref.Size || inc.Weight != ref.Weight ||
-					inc.BaseSize != ref.BaseSize || inc.Iterations != ref.Iterations ||
-					inc.CorrectionEdges != ref.CorrectionEdges {
-					t.Fatalf("weighted=%v: decision stats differ:\nincremental %+v\nreference   %+v",
-						weighted, inc, ref)
-				}
-				par := solve3(t, g, weighted, 42, false, true)
-				if !reflect.DeepEqual(inc, par) {
+				checkLabelingSteps(t, g, weighted)
+				seq := solve3(t, g, weighted, ThreeECSSOptions{Rng: rand.New(rand.NewSource(42))})
+				par := solve3(t, g, weighted, ThreeECSSOptions{
+					Rng: rand.New(rand.NewSource(42)), Executor: congest.ParallelExecutor{},
+				})
+				if !reflect.DeepEqual(seq, par) {
 					t.Fatalf("weighted=%v: sequential vs parallel executor not byte-identical:\n%+v\n%+v",
-						weighted, inc, par)
+						weighted, seq, par)
+				}
+				pooled := solve3(t, g, weighted, ThreeECSSOptions{
+					Rng: rand.New(rand.NewSource(42)), Arena: na, LabelArena: la,
+				})
+				if !reflect.DeepEqual(seq, pooled) {
+					t.Fatalf("weighted=%v: recycled arenas changed the result:\n%+v\n%+v",
+						weighted, seq, pooled)
 				}
 			}
 		})
+	}
+}
+
+// checkLabelingSteps drives the incremental engine, cover index and
+// exponent buckets the way solve3ECSS does, activating a seeded random
+// half of each pool, and checks them against from-scratch recomputation
+// after every step.
+func checkLabelingSteps(t *testing.T, g *graph.Graph, weighted bool) {
+	t.Helper()
+	var h []int
+	if weighted {
+		base, err := Solve2ECSS(g, TwoECSSOptions{Rng: rand.New(rand.NewSource(3))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = base.Edges
+	} else {
+		var err error
+		if h, _, err = baselines.TwoECSSUnweighted2Approx(g, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(42))
+	eng, err := cycles.NewIncremental(g, h, 48, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Release()
+	selected := make([]bool, g.M())
+	for _, id := range h {
+		selected[id] = true
+	}
+	var candIDs []int
+	candIdx := make(map[int]int)
+	for _, e := range g.Edges() {
+		if !selected[e.ID] {
+			candIdx[e.ID] = len(candIDs)
+			candIDs = append(candIDs, e.ID)
+		}
+	}
+	cover := cycles.NewCoverIndex(eng, candIDs)
+	bk := newExpBuckets(len(candIDs))
+	for step := 0; ; step++ {
+		refreshBuckets(g, weighted, cover, bk, candIDs)
+		pool, best := bk.pool(nil, candIDs)
+		sort.Ints(pool)
+		// The full scan the buckets replace: every unselected edge's
+		// rounded cost-effectiveness, keeping those at the maximum.
+		var want []int
+		wantBest := -(1 << 30)
+		for _, e := range g.Edges() {
+			if selected[e.ID] {
+				continue
+			}
+			ce := eng.CoverCount(e.U, e.V)
+			if ce == 0 {
+				continue
+			}
+			exp := ceExp(g, weighted, e.ID, ce)
+			if exp > wantBest {
+				wantBest, want = exp, want[:0]
+			}
+			if exp == wantBest {
+				want = append(want, e.ID)
+			}
+		}
+		if !reflect.DeepEqual(pool, want) || (len(want) > 0 && best != wantBest) {
+			t.Fatalf("weighted=%v step %d: bucket pool %v at exp %d, full scan %v at exp %d",
+				weighted, step, pool, best, want, wantBest)
+		}
+		if len(pool) == 0 || eng.ThreeEdgeConnected() {
+			return
+		}
+		var added []int
+		for _, id := range pool {
+			if rng.Intn(2) == 0 || len(added) == 0 && id == pool[len(pool)-1] {
+				added = append(added, id)
+			}
+		}
+		for _, id := range added {
+			cover.Deactivate(candIdx[id])
+			bk.remove(candIdx[id])
+			selected[id] = true
+		}
+		eng.AddEdges(added)
+
+		phi := make(map[int]uint64)
+		for _, e := range g.Edges() {
+			if eng.IsActive(e.ID) {
+				phi[e.ID] = eng.Phi(e.ID)
+			}
+		}
+		done := eng.ThreeEdgeConnected()
+		if _, err := eng.RelabelScan(); err != nil {
+			t.Fatal(err)
+		}
+		for id, lab := range phi {
+			if eng.Phi(id) != lab {
+				t.Fatalf("weighted=%v step %d: edge %d label %#x incrementally, %#x rescanned",
+					weighted, step, id, lab, eng.Phi(id))
+			}
+		}
+		if eng.ThreeEdgeConnected() != done {
+			t.Fatalf("weighted=%v step %d: termination predicate changed under a rescan", weighted, step)
+		}
 	}
 }
 

@@ -520,9 +520,8 @@ func (inc *Incremental) Phi(id int) uint64 { return inc.phi[id] }
 // labels with the scan's result, rebuilds the per-label counts, and returns
 // the measured simulator rounds. Because a tree edge's label is the XOR of
 // its covering non-tree labels, the scan reproduces the incrementally
-// maintained state bit-for-bit; the solvers run it once per iteration when
-// ThreeECSSOptions.ReferenceLabeling is set, and the equivalence tests pin
-// it against AddEdges.
+// maintained state bit-for-bit; the equivalence tests pin it against
+// AddEdges after every activation step.
 func (inc *Incremental) RelabelScan(simOpts ...congest.Option) (int64, error) {
 	owned := inc.ownedLists(inc.activeIDs)
 	progs, metrics, err := runLabelScan(inc.G, inc.Tree, owned, func(e int) uint64 { return inc.phi[e] }, simOpts)

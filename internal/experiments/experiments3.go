@@ -214,11 +214,11 @@ func E14(s Scale) (*Table, error) {
 		n := sizes[i]
 		g := randomWeighted(n, 3, n, int64(n+29))
 		lb := baselines.DegreeLowerBound(g, 3)
-		wres, err := coreSolve3Weighted(g, 11, w, s)
+		wres, err := core.Solve3ECSSWeighted(g, threeOpts(11, w))
 		if err != nil {
 			return nil, fmt.Errorf("E14 n=%d: %w", n, err)
 		}
-		ures, err := coreSolve3Unweighted(g, 11, w, s)
+		ures, err := core.Solve3ECSSUnweighted(g, threeOpts(11, w))
 		if err != nil {
 			return nil, fmt.Errorf("E14 n=%d: %w", n, err)
 		}
@@ -232,12 +232,4 @@ func E14(s Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "the weighted variant's ratio should not exceed the weight-blind one's")
 	return t, nil
-}
-
-func coreSolve3Weighted(g *graph.Graph, seed int64, w *service.Worker, s Scale) (*core.ThreeECSSResult, error) {
-	return core.Solve3ECSSWeighted(g, s.threeOpts(seed, w))
-}
-
-func coreSolve3Unweighted(g *graph.Graph, seed int64, w *service.Worker, s Scale) (*core.ThreeECSSResult, error) {
-	return core.Solve3ECSSUnweighted(g, s.threeOpts(seed, w))
 }

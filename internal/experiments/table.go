@@ -1,5 +1,5 @@
-// Package experiments implements the reproduction experiments E1–E14 of
-// DESIGN.md: one per theorem/lemma/figure of the paper. Each experiment
+// Package experiments implements the reproduction experiments E1–E14: one
+// per theorem/lemma/figure of the paper (PAPER.md). Each experiment
 // returns a Table whose rows are the series the paper's claim is about
 // (measured rounds or ratios next to the claimed asymptotic reference and
 // the prior-work baselines). The cmd/kecss-bench binary prints them; the

@@ -9,7 +9,7 @@
 // tie-breaking, so every structure built on top of the MST (fragments,
 // segments, TAP) is exactly the one the paper's pipeline would see. Headline
 // round accounting for the theorems charges the Kutten–Peleg bound via
-// internal/rounds (see DESIGN.md, substitutions).
+// internal/rounds (see rounds.MSTKuttenPeleg).
 //
 //kecss:deterministic
 package mst

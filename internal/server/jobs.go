@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -193,23 +194,31 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var j *job
 	if resp, ok := s.storeGet(work.digest); ok {
 		s.metrics.cacheHits.Add(1)
-		j := s.jobs.create(work.digest)
+		j = s.jobs.create(work.digest)
 		out := *resp
 		out.Cached = true
 		if j.tryFinish() {
 			j.finish(&out, nil)
 		}
-		writeJSON(w, http.StatusAccepted, j.snapshot())
-		return
-	}
-	j, _, serr := s.ensureJob(work, rawReq)
-	if serr != nil {
-		s.writeSolveError(w, serr)
-		return
+	} else {
+		var serr *solveError
+		if j, _, serr = s.ensureJob(work, rawReq); serr != nil {
+			s.writeSolveError(w, serr)
+			return
+		}
 	}
 	writeJSON(w, http.StatusAccepted, j.snapshot())
+	// Under a chaos plan the ack point counts only acks the client can
+	// already read, so a fault armed on it cannot fire ahead of them.
+	// Without one the response is left unflushed and keeps its
+	// Content-Length framing.
+	if s.inj != nil {
+		_ = http.NewResponseController(w).Flush()
+		s.inj.At(chaos.ServerAck)
+	}
 }
 
 // handleJobGet is GET /v1/jobs/{id}.

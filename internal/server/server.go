@@ -404,6 +404,9 @@ type statusRecorder struct {
 	code int
 }
 
+// Unwrap lets http.ResponseController reach the connection's Flush.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
+
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)

@@ -42,9 +42,6 @@ type Options struct {
 	DisableRounding bool
 	// SegmentTarget overrides the √n decomposition parameter (0 = default).
 	SegmentTarget int
-	// MaxIterations bounds the main loop; 0 means 40·(log n)² + 100, far
-	// above the w.h.p. bound of Lemma 3.11.
-	MaxIterations int
 }
 
 // Result is the outcome of the augmentation.
@@ -81,11 +78,9 @@ func Augment(g *graph.Graph, tr *tree.Rooted, opts Options) (*Result, error) {
 	if target == 0 {
 		target = segments.DefaultTarget(n)
 	}
-	maxIters := opts.MaxIterations
-	if maxIters == 0 {
-		l := int(rounds.Log2Ceil(n)) + 1
-		maxIters = 40*l*l + 100
-	}
+	// The loop cap sits far above the w.h.p. O(log² n) bound of Lemma 3.11.
+	l := int(rounds.Log2Ceil(n)) + 1
+	maxIters := 40*l*l + 100
 
 	dec, err := segments.Decompose(g, tr, target)
 	if err != nil {
