@@ -2,7 +2,7 @@ package kecss
 
 // One benchmark per reproduction experiment (E1–E14, each documented on its
 // function in internal/experiments against the paper's claims in PAPER.md)
-// plus the ablations (A1–A4) and micro-benchmarks of the
+// plus the ablations (A1–A3) and micro-benchmarks of the
 // substrates. The experiment benches run the Quick-scale sweeps so that
 // `go test -bench=.` terminates in minutes; `cmd/kecss-bench` (without
 // -quick) prints the full tables.
@@ -49,31 +49,13 @@ func BenchmarkE12_Verification(b *testing.B)  { benchExperiment(b, experiments.E
 func BenchmarkE13_FTMST(b *testing.B)         { benchExperiment(b, experiments.E13) }
 func BenchmarkE14_Weighted3ECSS(b *testing.B) { benchExperiment(b, experiments.E14) }
 
-// --- Ablations (A1–A4, internal/experiments) ---------------------------------
+// --- Ablations (A1–A3, internal/experiments) ---------------------------------
 
 func BenchmarkAblation_VoteThreshold(b *testing.B) {
 	benchExperiment(b, experiments.AblationVoteThreshold)
 }
 func BenchmarkAblation_Rounding(b *testing.B) { benchExperiment(b, experiments.AblationRounding) }
 func BenchmarkAblation_PhaseLen(b *testing.B) { benchExperiment(b, experiments.AblationPhaseLength) }
-
-func benchBoruvka(b *testing.B, exec congest.Executor) {
-	b.Helper()
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	g := graph.RandomKConnected(128, 2, 256, rng, graph.RandomWeights(rng, 1000))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mst.DistributedBoruvka(g, congest.WithExecutor(exec)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_ExecutorSequential(b *testing.B) {
-	benchBoruvka(b, congest.SequentialExecutor{})
-}
-func BenchmarkAblation_ExecutorParallel(b *testing.B) { benchBoruvka(b, congest.ParallelExecutor{}) }
 
 // --- Micro-benchmarks of the substrates --------------------------------------
 
@@ -124,12 +106,11 @@ func simBenchGraph(n int) *graph.Graph {
 	return graph.RandomKConnected(n, 2, 2*n, rng, graph.UnitWeights())
 }
 
-func benchSimulatorBroadcast(b *testing.B, n int, exec congest.Executor) {
+func benchSimulatorBroadcast(b *testing.B, n int) {
 	b.Helper()
 	b.ReportAllocs()
 	g := simBenchGraph(n)
-	net := congest.NewNetwork(g, func(int) congest.Program { return saturatingProgram{} },
-		congest.WithExecutor(exec))
+	net := congest.NewNetwork(g, func(int) congest.Program { return saturatingProgram{} })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Step()
@@ -149,22 +130,15 @@ func benchSimulatorFlood(b *testing.B, n int, opts ...congest.Option) {
 }
 
 func BenchmarkMicro_SimulatorRound(b *testing.B) {
-	seq := congest.WithExecutor(congest.SequentialExecutor{})
-	par := congest.WithExecutor(congest.ParallelExecutor{})
-	shard := congest.WithExecutor(congest.ShardedExecutor{})
-	b.Run("broadcast/n=1k", func(b *testing.B) { benchSimulatorBroadcast(b, 1000, congest.SequentialExecutor{}) })
-	b.Run("broadcast/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000, congest.SequentialExecutor{}) })
-	b.Run("broadcast-parallel/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000, congest.ParallelExecutor{}) })
-	b.Run("broadcast-sharded/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000, congest.ShardedExecutor{}) })
-	b.Run("flood/n=1k", func(b *testing.B) { benchSimulatorFlood(b, 1000, seq) })
-	b.Run("flood/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, seq) })
-	b.Run("flood-parallel/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, par) })
-	b.Run("flood-sharded/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, shard) })
+	b.Run("broadcast/n=1k", func(b *testing.B) { benchSimulatorBroadcast(b, 1000) })
+	b.Run("broadcast/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000) })
+	b.Run("flood/n=1k", func(b *testing.B) { benchSimulatorFlood(b, 1000) })
+	b.Run("flood/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000) })
 	b.Run("flood-arena/n=1k", func(b *testing.B) {
-		benchSimulatorFlood(b, 1000, seq, congest.WithArena(congest.NewArena()))
+		benchSimulatorFlood(b, 1000, congest.WithArena(congest.NewArena()))
 	})
 	b.Run("flood-arena/n=4k", func(b *testing.B) {
-		benchSimulatorFlood(b, 4000, seq, congest.WithArena(congest.NewArena()))
+		benchSimulatorFlood(b, 4000, congest.WithArena(congest.NewArena()))
 	})
 }
 

@@ -1,5 +1,5 @@
 // Command kecss-bench regenerates every reproduction experiment E1–E14 and
-// the ablations A1–A4 (see the README's CLI section; each experiment is
+// the ablations A1–A3 (see the README's CLI section; each experiment is
 // documented on its function in internal/experiments) and prints the
 // result tables, and runs JSON-described scenario sweeps on the solver pool.
 //
@@ -57,38 +57,19 @@ func main() {
 }
 
 func run(quick bool, only string, workers int) error {
-	scale := experiments.Scale{Quick: quick, Workers: workers}
-	want := map[string]bool{}
+	var ids []string
 	if only != "" {
-		for _, id := range strings.Split(only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+		ids = strings.Split(only, ",")
 	}
-	all := map[string]func(experiments.Scale) (*experiments.Table, error){
-		"E1": experiments.E1, "E2": experiments.E2, "E3": experiments.E3,
-		"E4": experiments.E4, "E5": experiments.E5, "E6": experiments.E6,
-		"E7": experiments.E7, "E8": experiments.E8, "E9": experiments.E9,
-		"E10": experiments.E10,
-		"E11": experiments.E11,
-		"E12": experiments.E12,
-		"E13": experiments.E13,
-		"E14": experiments.E14,
-		"A1":  experiments.AblationVoteThreshold,
-		"A2":  experiments.AblationRounding,
-		"A3":  experiments.AblationPhaseLength,
-		"A4":  experiments.AblationExecutor,
+	exps, err := experiments.Select(ids...)
+	if err != nil {
+		return err
 	}
-	order := []string{
-		"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10",
-		"E11", "E12", "E13", "E14", "A1", "A2", "A3", "A4",
-	}
-	for _, id := range order {
-		if len(want) > 0 && !want[id] {
-			continue
-		}
-		tbl, err := all[id](scale)
+	scale := experiments.Scale{Quick: quick, Workers: workers}
+	for _, e := range exps {
+		tbl, err := e.Run(scale)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		tbl.Fprint(os.Stdout)
 	}

@@ -29,11 +29,11 @@
 //   - Slot delivery. All messages in flight live in a flat []Message of
 //     length 2m — slot 2e for the message travelling U→V on edge e, slot
 //     2e+1 for V→U. Send writes the message into its slot (each slot has
-//     exactly one possible writer per round, so parallel executors need no
-//     locks) and records the slot in the sender's out-list. deliver copies
-//     slots into per-node inbox views — fixed-capacity sub-slices of a
-//     second flat 2m arena, partitioned by receiver degree — in sender-ID
-//     order, preserving the exact inbox ordering of a sequential simulator.
+//     exactly one possible writer per round) and records the slot in the
+//     sender's out-list. deliver copies slots into per-node inbox views —
+//     fixed-capacity sub-slices of a second flat 2m arena, partitioned by
+//     receiver degree — in sender-ID order, so every inbox's order is a
+//     function of the graph and the messages alone.
 //
 //   - Buffer reuse. Every buffer above is sized by the graph's n and m and
 //     carved out of a handful of flat allocations. A NetworkArena recycles
@@ -41,12 +41,11 @@
 //     sweeps construct networks without re-allocating contexts, inboxes or
 //     neighbour tables.
 //
-// Executors (see executor.go) decide how the n per-node Round calls run:
-// sequentially, on a persistent work-stealing worker pool (ParallelExecutor),
-// or on the same pool with contiguous vertex shards (ShardedExecutor). All
-// three produce byte-identical results and Metrics because programs touch
-// only per-node state and delivery order is fixed by the network, not the
-// executor.
+// Network.Step calls the n per-node Round functions one after another in
+// vertex order on the calling goroutine. Host parallelism comes from running
+// independent networks concurrently (kecss.Pool runs one solve per worker),
+// not from splitting one round across threads; the model's cost is rounds
+// and messages, which the schedule of Round calls does not change.
 //
 //kecss:deterministic
 package congest

@@ -36,21 +36,19 @@ func (f *floodProgram) Round(ctx *Context, inbox []Message) bool {
 
 func TestFloodTerminatesInDiameterRounds(t *testing.T) {
 	g := graph.Cycle(10, graph.UnitWeights())
-	for _, exec := range []Executor{SequentialExecutor{}, ParallelExecutor{}, ShardedExecutor{}} {
-		net := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithExecutor(exec))
-		m, err := net.Run(100)
-		if err != nil {
-			t.Fatalf("%T: %v", exec, err)
-		}
-		d := g.Diameter()
-		// Flood needs exactly D rounds to inform everyone plus <=1 quiesce round.
-		if m.Rounds < d || m.Rounds > d+2 {
-			t.Errorf("%T: rounds = %d, want about D=%d", exec, m.Rounds, d)
-		}
-		for v := 0; v < g.N(); v++ {
-			if net.Program(v).(*floodProgram).heardAt == -1 {
-				t.Errorf("%T: vertex %d never heard the flood", exec, v)
-			}
+	net := NewNetwork(g, func(int) Program { return &floodProgram{} })
+	m, err := net.Run(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Diameter()
+	// Flood needs exactly D rounds to inform everyone plus <=1 quiesce round.
+	if m.Rounds < d || m.Rounds > d+2 {
+		t.Errorf("rounds = %d, want about D=%d", m.Rounds, d)
+	}
+	for v := 0; v < g.N(); v++ {
+		if net.Program(v).(*floodProgram).heardAt == -1 {
+			t.Errorf("vertex %d never heard the flood", v)
 		}
 	}
 }

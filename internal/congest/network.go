@@ -23,7 +23,6 @@ type Metrics struct {
 //kecss:arena-owner
 type Network struct {
 	g        *graph.Graph
-	exec     Executor
 	programs []Program
 	ctxs     []Context
 	done     []bool
@@ -47,8 +46,7 @@ type Network struct {
 	// whole network keeps construction at O(1) allocations.
 	nbrPort map[int64]int32
 
-	roundFn  func(v int) // per-round executor callback, built once
-	stamp    uint32      // current round stamp (strictly increasing)
+	stamp    uint32 // current round stamp (strictly increasing)
 	metrics  Metrics
 	arena    *NetworkArena // non-nil if buffers are borrowed
 	released bool          // arena buffers returned; stepping is an error
@@ -59,21 +57,15 @@ type Network struct {
 //
 //kecss:arena-owner
 type config struct {
-	exec  Executor
 	arena *NetworkArena
 }
 
 // Option configures a Network.
 type Option func(*config)
 
-// WithExecutor selects the round executor. Default: SequentialExecutor.
-func WithExecutor(e Executor) Option {
-	return func(c *config) { c.exec = e }
-}
-
 // WithArena makes the network borrow its buffers from a, avoiding
 // re-allocation across repeated NewNetwork calls. See NetworkArena for the
-// ownership rules.
+// ownership rules. A nil a leaves the network on fresh buffers.
 func WithArena(a *NetworkArena) Option {
 	return func(c *config) { c.arena = a }
 }
@@ -81,13 +73,12 @@ func WithArena(a *NetworkArena) Option {
 // NewNetwork builds a network over g where vertex v runs factory(v).
 // Init is called for every node (messages sent there arrive in round 1).
 func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
-	cfg := config{exec: SequentialExecutor{}}
+	var cfg config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	n := &Network{
-		g:    g,
-		exec: cfg.exec,
+		g: g,
 		// programs is the one per-network allocation kept off the arena:
 		// callers read final program state via Program(v) after Run has
 		// returned the buffers, so it must not be recycled under them.
@@ -95,9 +86,6 @@ func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
 	}
 	n.attachBuffers(cfg.arena)
 	n.buildTopology()
-	n.roundFn = func(v int) {
-		n.done[v] = n.programs[v].Round(&n.ctxs[v], n.inboxes[v])
-	}
 	for v := 0; v < g.N(); v++ {
 		n.programs[v] = factory(v)
 	}
@@ -242,7 +230,9 @@ func (n *Network) Step() bool {
 		panic("congest: Step on a network whose arena buffers were released (Run already finished)")
 	}
 	n.metrics.Rounds++
-	n.exec.RunRound(n.g.N(), n.roundFn)
+	for v, p := range n.programs {
+		n.done[v] = p.Round(&n.ctxs[v], n.inboxes[v])
+	}
 	n.deliver()
 	allDone := true
 	for v := range n.done {

@@ -26,8 +26,6 @@ type KECSSOptions struct {
 	// rounds; otherwise the level is computed by Kruskal and charged the
 	// Kutten–Peleg bound the paper assumes.
 	SimulateMST bool
-	// Executor selects the simulator executor when SimulateMST is set.
-	Executor congest.Executor
 	// Arena, if set, supplies reusable simulation buffers (for repetition
 	// sweeps that solve many same-sized instances).
 	Arena *congest.NetworkArena
@@ -86,14 +84,7 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 	t0 := opts.Phase.phaseStart()
 	var mstMessages int64
 	if opts.SimulateMST {
-		var simOpts []congest.Option
-		if opts.Executor != nil {
-			simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
-		}
-		if opts.Arena != nil {
-			simOpts = append(simOpts, congest.WithArena(opts.Arena))
-		}
-		mres, err := mst.DistributedBoruvka(g, simOpts...)
+		mres, err := mst.DistributedBoruvka(g, congest.WithArena(opts.Arena))
 		if err != nil {
 			return nil, fmt.Errorf("core: distributed MST: %w", err)
 		}

@@ -30,8 +30,6 @@ type ThreeECSSOptions struct {
 	LabelBits int
 	// PhaseLen is the activation-schedule constant (see AugOptions.PhaseLen).
 	PhaseLen int
-	// Executor selects the simulator executor for the label scans.
-	Executor congest.Executor
 	// Arena supplies reusable simulation buffers for the label scans.
 	// Defaults to a fresh arena per solve.
 	Arena *congest.NetworkArena
@@ -185,13 +183,9 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 		phaseLen = 1
 	}
 	maxIters := iterationCap(logn)
-	var simOpts []congest.Option
-	if opts.Executor != nil {
-		simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
-	}
 	// The label scans run short-lived networks over g — the base scan, plus
 	// one per Rebalance rebuild — the arena's best case.
-	simOpts = congest.WithDefaultArena(simOpts)
+	simOpts := congest.WithDefaultArena(nil)
 	if opts.Arena != nil {
 		simOpts = append(simOpts, congest.WithArena(opts.Arena))
 	}

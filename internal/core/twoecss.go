@@ -26,8 +26,6 @@ type TwoECSSOptions struct {
 	// SimulateMST runs the MST as real message passing (measured rounds)
 	// instead of Kruskal + the charged Kutten–Peleg bound.
 	SimulateMST bool
-	// Executor selects the simulator executor when SimulateMST is set.
-	Executor congest.Executor
 	// Arena, if set, supplies reusable simulation buffers (for repetition
 	// sweeps that solve many same-sized instances).
 	Arena *congest.NetworkArena
@@ -73,14 +71,7 @@ func Solve2ECSS(g *graph.Graph, opts TwoECSSOptions) (*TwoECSSResult, error) {
 	)
 	t0 := opts.Phase.phaseStart()
 	if opts.SimulateMST {
-		var simOpts []congest.Option
-		if opts.Executor != nil {
-			simOpts = append(simOpts, congest.WithExecutor(opts.Executor))
-		}
-		if opts.Arena != nil {
-			simOpts = append(simOpts, congest.WithArena(opts.Arena))
-		}
-		mres, err := mst.DistributedBoruvka(g, simOpts...)
+		mres, err := mst.DistributedBoruvka(g, congest.WithArena(opts.Arena))
 		if err != nil {
 			return nil, fmt.Errorf("core: distributed MST: %w", err)
 		}

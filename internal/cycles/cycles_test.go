@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/tree"
 )
@@ -143,25 +142,6 @@ func TestLabelScanRoundsAreTreeHeight(t *testing.T) {
 	}
 	if l.Metrics.Rounds > tr.Height()+3 {
 		t.Fatalf("label rounds = %d, want <= height+3 = %d", l.Metrics.Rounds, tr.Height()+3)
-	}
-}
-
-func TestLabelScanParallelExecutorMatches(t *testing.T) {
-	g := graph.PaperFigure2Graph()
-	tr := bfsTree(t, g)
-	a, err := ComputeLabels(g, tr, 32, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ComputeLabels(g, tr, 32, rand.New(rand.NewSource(9)),
-		congest.WithExecutor(congest.ParallelExecutor{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, la := range a.Phi {
-		if b.Phi[id] != la {
-			t.Fatalf("edge %d: labels differ across executors", id)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -184,25 +183,6 @@ func TestIncrementalPredicateAgainstOracle(t *testing.T) {
 			inc.AddEdges([]int{id})
 			active = append(active, id)
 			check()
-		}
-	}
-}
-
-func TestIncrementalExecutorsAgree(t *testing.T) {
-	g, base, cands := spanning2EC(16, 20, 11)
-	run := func(opts ...congest.Option) map[int]uint64 {
-		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(5)), nil, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc.AddEdges(cands)
-		return snapshotPhi(inc)
-	}
-	seq := run()
-	par := run(congest.WithExecutor(congest.ParallelExecutor{}))
-	for id, lab := range seq {
-		if par[id] != lab {
-			t.Fatalf("edge %d: labels differ across executors", id)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/congest"
@@ -322,54 +324,54 @@ func AblationPhaseLength(s Scale) (*Table, error) {
 	return t, nil
 }
 
-// AblationExecutor compares the sequential, pooled-parallel and sharded
-// executors on the genuinely simulated pieces (identical results, different
-// host parallelism) — wall-clock is measured by the corresponding benchmark.
-func AblationExecutor(s Scale) (*Table, error) {
-	t := &Table{
-		ID:     "A4",
-		Title:  "ablation: simulator executor",
-		Claim:  "results identical; pooled executors exercise real parallelism",
-		Header: []string{"executor", "MST weight", "MST phases", "measured rounds"},
+// Experiment is one reproduction table: its ID as printed in the table
+// header and the function that builds it.
+type Experiment struct {
+	ID  string
+	Run func(Scale) (*Table, error)
+}
+
+// registry lists every experiment and ablation in output order.
+var registry = []Experiment{
+	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5},
+	{"E6", E6}, {"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10},
+	{"E11", E11}, {"E12", E12}, {"E13", E13}, {"E14", E14},
+	{"A1", AblationVoteThreshold}, {"A2", AblationRounding}, {"A3", AblationPhaseLength},
+}
+
+// Select returns the registered experiments whose IDs are in ids, in
+// registry order. IDs match case-insensitively and blank IDs are ignored; no
+// IDs selects them all. An ID that names no experiment is an error.
+func Select(ids ...string) ([]Experiment, error) {
+	if len(ids) == 0 {
+		return slices.Clone(registry), nil
 	}
-	n := 128
-	if s.Quick {
-		n = 48
+	known := make([]string, len(registry))
+	for i, e := range registry {
+		known[i] = e.ID
 	}
-	g := randomWeighted(n, 2, 2*n, 321)
-	// Each trial runs on a pool worker whose arena recycles the simulation
-	// buffers of whatever ran on that worker before it.
-	execs := []struct {
-		name string
-		exec congest.Executor
-	}{
-		{"sequential", congest.SequentialExecutor{}},
-		{"parallel", congest.ParallelExecutor{}},
-		{"sharded", congest.ShardedExecutor{}},
-	}
-	err := runTrials(s, t, len(execs), func(i int, w *service.Worker) ([][]any, error) {
-		tc := execs[i]
-		res, err := mst.DistributedBoruvka(g, congest.WithExecutor(tc.exec), congest.WithArena(w.Arena))
-		if err != nil {
-			return nil, fmt.Errorf("ablation executor: %w", err)
+	want := map[string]bool{}
+	for _, id := range ids {
+		key := strings.ToUpper(strings.TrimSpace(id))
+		if key != "" && !slices.Contains(known, key) {
+			return nil, fmt.Errorf("unknown experiment ID %q (known: %s)", id, strings.Join(known, ","))
 		}
-		return one(tc.name, res.Weight, res.Phases, res.Metrics.Rounds), nil
-	})
-	if err != nil {
-		return nil, err
+		want[key] = true
 	}
-	return t, nil
+	var out []Experiment
+	for _, e := range registry {
+		if want[e.ID] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // All runs every experiment and ablation in order.
 func All(s Scale) ([]*Table, error) {
-	runs := []func(Scale) (*Table, error){
-		E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13, E14,
-		AblationVoteThreshold, AblationRounding, AblationPhaseLength, AblationExecutor,
-	}
-	out := make([]*Table, 0, len(runs))
-	for _, f := range runs {
-		tbl, err := f(s)
+	out := make([]*Table, 0, len(registry))
+	for _, e := range registry {
+		tbl, err := e.Run(s)
 		if err != nil {
 			return out, err
 		}

@@ -14,8 +14,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 18 {
-		t.Fatalf("got %d tables, want 18", len(tables))
+	if len(tables) != 17 {
+		t.Fatalf("got %d tables, want 17", len(tables))
 	}
 	seen := map[string]bool{}
 	for _, tbl := range tables {
@@ -38,6 +38,24 @@ func TestAllExperimentsQuick(t *testing.T) {
 		if !strings.Contains(s, tbl.ID) || !strings.Contains(s, "claim:") {
 			t.Errorf("table %s renders incorrectly:\n%s", tbl.ID, s)
 		}
+	}
+}
+
+// Select resolves IDs case-insensitively, keeps registry order, and names an
+// unknown ID instead of silently selecting nothing.
+func TestSelect(t *testing.T) {
+	got, err := Select("a1", " e4", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].ID != "E4" || got[1].ID != "A1" {
+		t.Fatalf("Select(a1, e4) = %v, want [E4 A1]", got)
+	}
+	if all, _ := Select(); len(all) != len(registry) {
+		t.Fatalf("Select() returned %d experiments, want all %d", len(all), len(registry))
+	}
+	if _, err := Select("E1", "BOGUS"); err == nil || !strings.Contains(err.Error(), `"BOGUS"`) {
+		t.Fatalf("Select(E1, BOGUS) error = %v, want one naming BOGUS", err)
 	}
 }
 

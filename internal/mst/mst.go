@@ -173,7 +173,7 @@ func (st *boruvkaState) phase(acc *congest.Metrics) (int, error) {
 
 	// Append the phase's new MST edges in fragment-ID order: map iteration
 	// order is randomized, and the result's edge order should be a pure
-	// function of the input (the executor-equivalence tests pin this).
+	// function of the input (TestDistributedBoruvkaArenaEquivalence pins this).
 	fragIDs := make([]int, 0, len(chosen))
 	for f := range chosen {
 		fragIDs = append(fragIDs, f)

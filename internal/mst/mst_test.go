@@ -2,6 +2,7 @@ package mst
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -116,16 +117,32 @@ func TestDistributedBoruvkaMatchesKruskal(t *testing.T) {
 	}
 }
 
-func TestDistributedBoruvkaParallelExecutor(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := graph.RandomKConnected(20, 2, 15, rng, graph.RandomWeights(rng, 30))
-	res, err := DistributedBoruvka(g, congest.WithExecutor(congest.ParallelExecutor{}))
-	if err != nil {
-		t.Fatal(err)
+// Two consecutive runs through one shared arena must equal a run on fresh
+// buffers, result and Metrics alike: buffer recycling leaks no state between
+// runs, and the result's edge order is a pure function of the input.
+func TestDistributedBoruvkaArenaEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	graphs := []*graph.Graph{
+		graph.RandomKConnected(128, 2, 256, rng, graph.RandomWeights(rng, 1000)),
+		graph.Grid(8, 24, graph.RandomWeights(rng, 50)),
+		graph.Cycle(200, graph.UnitWeights()),
 	}
-	_, wantW := Kruskal(g)
-	if res.Weight != wantW {
-		t.Fatalf("weight %d, want %d", res.Weight, wantW)
+	for gi, g := range graphs {
+		want, err := DistributedBoruvka(g)
+		if err != nil {
+			t.Fatalf("graph %d: %v", gi, err)
+		}
+		arena := congest.NewArena()
+		for rep := 0; rep < 2; rep++ {
+			got, err := DistributedBoruvka(g, congest.WithArena(arena))
+			if err != nil {
+				t.Fatalf("graph %d rep %d: %v", gi, rep, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("graph %d rep %d: run with arena diverges from fresh buffers:\n got %+v\nwant %+v",
+					gi, rep, got, want)
+			}
+		}
 	}
 }
 

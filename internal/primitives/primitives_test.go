@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -36,24 +35,6 @@ func TestBuildBFSTreeDepthsMatchDistances(t *testing.T) {
 				t.Errorf("rounds = %d, want <= ecc+3 = %d", m.Rounds, ecc+3)
 			}
 		})
-	}
-}
-
-func TestBuildBFSTreeParallelExecutorMatches(t *testing.T) {
-	g := graph.Grid(5, 5, graph.UnitWeights())
-	seqTree, _, err := BuildBFSTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parTree, _, err := BuildBFSTree(g, 0, congest.WithExecutor(congest.ParallelExecutor{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N(); v++ {
-		if seqTree.Parent[v] != parTree.Parent[v] {
-			t.Fatalf("executor changed BFS tree at vertex %d: %d vs %d",
-				v, seqTree.Parent[v], parTree.Parent[v])
-		}
 	}
 }
 
@@ -185,17 +166,15 @@ func TestUpcastPipeliningScalesLinearly(t *testing.T) {
 }
 
 func TestElectLeader(t *testing.T) {
-	for _, exec := range []congest.Executor{congest.SequentialExecutor{}, congest.ParallelExecutor{}} {
-		g := graph.Grid(4, 7, graph.UnitWeights())
-		leader, m, err := ElectLeader(g, congest.WithExecutor(exec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if leader != 0 {
-			t.Fatalf("leader = %d, want 0", leader)
-		}
-		if d := g.Diameter(); m.Rounds > d+3 {
-			t.Errorf("rounds = %d, want <= D+3 = %d", m.Rounds, d+3)
-		}
+	g := graph.Grid(4, 7, graph.UnitWeights())
+	leader, m, err := ElectLeader(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leader != 0 {
+		t.Fatalf("leader = %d, want 0", leader)
+	}
+	if d := g.Diameter(); m.Rounds > d+3 {
+		t.Errorf("rounds = %d, want <= D+3 = %d", m.Rounds, d+3)
 	}
 }

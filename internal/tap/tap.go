@@ -40,8 +40,6 @@ type Options struct {
 	// cost-effectiveness instead of the power-of-2 rounded value
 	// (an ablation; the approximation proof needs rounding).
 	DisableRounding bool
-	// SegmentTarget overrides the √n decomposition parameter (0 = default).
-	SegmentTarget int
 }
 
 // Result is the outcome of the augmentation.
@@ -74,15 +72,11 @@ func Augment(g *graph.Graph, tr *tree.Rooted, opts Options) (*Result, error) {
 		voteDenom = 8
 	}
 	n := g.N()
-	target := opts.SegmentTarget
-	if target == 0 {
-		target = segments.DefaultTarget(n)
-	}
 	// The loop cap sits far above the w.h.p. O(log² n) bound of Lemma 3.11.
 	l := int(rounds.Log2Ceil(n)) + 1
 	maxIters := 40*l*l + 100
 
-	dec, err := segments.Decompose(g, tr, target)
+	dec, err := segments.Decompose(g, tr, segments.DefaultTarget(n))
 	if err != nil {
 		return nil, fmt.Errorf("tap: decomposition failed: %w", err)
 	}

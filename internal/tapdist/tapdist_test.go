@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/mst"
 	"repro/internal/segments"
@@ -131,26 +130,6 @@ func TestComputeCeRoundsAreDPlusSqrtN(t *testing.T) {
 		budget := 12 * (d + dec.MaxSegmentDiameter() + len(dec.Segments) + 4)
 		if res.Metrics.Rounds > budget {
 			t.Errorf("n=%d: measured %d rounds, want O(D+√n) <= %d", n, res.Metrics.Rounds, budget)
-		}
-	}
-}
-
-func TestComputeCeParallelExecutorMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := graph.RandomKConnected(40, 2, 60, rng, graph.RandomWeights(rng, 25))
-	tr, dec := decompose(t, g)
-	covered := randomCoverage(tr, rng, 0.4)
-	seq, err := ComputeCe(g, dec, covered, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ComputeCe(g, dec, covered, nil, congest.WithExecutor(congest.ParallelExecutor{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, v := range seq.Ce {
-		if par.Ce[id] != v {
-			t.Fatalf("edge %d: executors disagree (%d vs %d)", id, v, par.Ce[id])
 		}
 	}
 }

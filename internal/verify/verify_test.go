@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/primitives"
 )
@@ -186,18 +185,6 @@ func TestVerifyRoundsAreNearDiameter(t *testing.T) {
 	if repB.Rounds > repS.Rounds*(dB+4)/(max(dS, 1))*4 {
 		t.Errorf("rounds grew with n, not D: %d (D=%d) -> %d (D=%d)",
 			repS.Rounds, dS, repB.Rounds, dB)
-	}
-}
-
-func TestVerifyParallelExecutor(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := graph.Harary(3, 14, graph.UnitWeights())
-	rep, err := ThreeEdgeConnectivity(g, 48, rng, congest.WithExecutor(congest.ParallelExecutor{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK {
-		t.Fatal("parallel executor changed verdict")
 	}
 }
 

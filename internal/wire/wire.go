@@ -7,7 +7,7 @@
 //
 //   - Digest(g, spec) is the content key of a solve: it hashes the canonical
 //     binary encoding of the graph together with every solver-visible knob
-//     (solver, k, seed, executor-independent options). Two requests with the
+//     (solver, k, seed and the other result-affecting options). Two requests with the
 //     same Digest are guaranteed to produce byte-identical results, so the
 //     serving layer (internal/server) uses it as its cache key.
 //   - ResultDigest hashes a sweep's visible outcome (edge sets, weights,

@@ -95,7 +95,6 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 type config struct {
 	seed        int64
 	seedSet     bool
-	executor    congest.Executor
 	simulateMST bool
 	voteDenom   int64
 	labelBits   int
@@ -110,22 +109,6 @@ type Option func(*config)
 // Without it, seed 1 is used (the library never draws entropy implicitly).
 func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed; c.seedSet = true }
-}
-
-// WithParallelExecutor runs the CONGEST simulations on a persistent worker
-// pool (chunked vertex ranges, one worker per CPU) instead of the
-// deterministic sequential executor. Results are identical; wall-clock
-// behaviour differs (see the executor ablation benchmark).
-func WithParallelExecutor() Option {
-	return func(c *config) { c.executor = congest.ParallelExecutor{} }
-}
-
-// WithShardedExecutor runs the CONGEST simulations on the same persistent
-// worker pool as WithParallelExecutor, but with one contiguous vertex shard
-// per worker — friendlier to caches when per-node work is uniform. Results
-// are identical to the other executors.
-func WithShardedExecutor() Option {
-	return func(c *config) { c.executor = congest.ShardedExecutor{} }
 }
 
 // WithSimulatedMST computes MSTs by the genuinely message-passing Borůvka
@@ -204,7 +187,6 @@ func (c config) twoOpts(env solveEnv) core.TwoECSSOptions {
 		Rng:         env.rng,
 		TAP:         tap.Options{VoteDenom: c.voteDenom},
 		SimulateMST: c.simulateMST,
-		Executor:    c.executor,
 		Arena:       env.arena,
 		Phase:       c.phase,
 	}
@@ -215,7 +197,6 @@ func (c config) kecssOpts(env solveEnv) core.KECSSOptions {
 		Rng:            env.rng,
 		PhaseLen:       c.phaseLen,
 		SimulateMST:    c.simulateMST,
-		Executor:       c.executor,
 		Arena:          env.arena,
 		SkipValidation: env.skipValidation,
 		Phase:          c.phase,
@@ -227,7 +208,6 @@ func (c config) threeOpts(env solveEnv) core.ThreeECSSOptions {
 		Rng:            env.rng,
 		LabelBits:      c.labelBits,
 		PhaseLen:       c.phaseLen,
-		Executor:       c.executor,
 		Arena:          env.arena,
 		LabelArena:     env.labels,
 		SkipValidation: env.skipValidation,

@@ -101,7 +101,6 @@ func TestPublicOptions(t *testing.T) {
 	res, err := Solve2ECSS(g,
 		WithSeed(3),
 		WithSimulatedMST(),
-		WithParallelExecutor(),
 		WithVoteDenominator(4),
 	)
 	if err != nil {
