@@ -1,11 +1,11 @@
 package kecss
 
 // Micro-benchmarks for the min-cut enumeration engine and the capped
-// max-flow connectivity check that feeds it (and the pool's validation
-// sweep). These are the "warm enumeration path" benches the CI bench-smoke
-// step watches: BENCH_cuts.json is generated from their output and the job
-// fails if allocs/op on the enumeration path exceeds the pinned ceiling
-// (see .github/workflows/ci.yml).
+// connectivity check that feeds it (and the pool's validation sweep and the
+// solvers' validate and audit checks). These are the "warm enumeration
+// path" benches the CI bench-smoke step watches: BENCH_cuts.json is
+// generated from their output and the job fails if allocs/op on the
+// enumeration path exceeds the pinned ceiling (see .github/workflows/ci.yml).
 //
 // Harary(k, n) is used as the instance family because its edge connectivity
 // is exactly k by construction, which is the precondition of
@@ -46,20 +46,29 @@ func BenchmarkMicro_EnumerateMinCuts(b *testing.B) {
 	}
 }
 
+// BenchmarkMicro_EdgeConnectivityUpTo covers both paths of the check. The
+// k=… cases cap at k+1 >= 4 and run the capped max-flow sweep; the cap=3
+// cases run the cover-fingerprint witness search, once as a full pass with
+// no witness (λ=3) and once stopping at the first cut pair (λ=2).
 func BenchmarkMicro_EdgeConnectivityUpTo(b *testing.B) {
-	cases := []struct{ k, n int }{
-		{4, 128},
-		{4, 512},
-		{3, 2000},
+	cases := []struct {
+		name           string
+		k, n, cap, lam int
+	}{
+		{"k=4/n=128", 4, 128, 5, 4},
+		{"k=4/n=512", 4, 512, 5, 4},
+		{"k=3/n=2000", 3, 2000, 4, 3},
+		{"cap=3/lambda=3/n=2000", 3, 2000, 3, 3},
+		{"cap=3/lambda=2/n=2000", 2, 2000, 3, 2},
 	}
 	for _, tc := range cases {
-		b.Run(fmt.Sprintf("k=%d/n=%d", tc.k, tc.n), func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			g := graph.Harary(tc.k, tc.n, graph.UnitWeights())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if lam := g.EdgeConnectivityUpTo(tc.k + 1); lam != tc.k {
-					b.Fatalf("λ=%d, want %d", lam, tc.k)
+				if lam := g.EdgeConnectivityUpTo(tc.cap); lam != tc.lam {
+					b.Fatalf("λ=%d, want %d", lam, tc.lam)
 				}
 			}
 		})

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -25,8 +27,8 @@ type bridgeScanner struct {
 // skip (pass skip = -1 to scan the whole graph), and returns dst. Output
 // order follows the traversal; callers that need sorted output sort it.
 func (bs *bridgeScanner) scan(g *Graph, skip int, dst []int) []int {
-	bs.disc = growInts(bs.disc, g.n)
-	bs.low = growInts(bs.low, g.n)
+	bs.disc = grow(bs.disc, g.n)
+	bs.low = grow(bs.low, g.n)
 	disc, low := bs.disc, bs.low
 	for v := 0; v < g.n; v++ {
 		disc[v] = -1
@@ -90,10 +92,7 @@ func (g *Graph) Bridges() []int {
 // TwoEdgeConnected reports whether g is connected and has no bridges, i.e.
 // whether g remains connected after the removal of any single edge.
 func (g *Graph) TwoEdgeConnected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	return g.Connected() && len(g.Bridges()) == 0
+	return g.IsKEdgeConnected(2)
 }
 
 // CutPair is an unordered pair of edge IDs whose joint removal disconnects a
@@ -111,52 +110,70 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// CutPairs enumerates every cut pair of g with one DFS pass plus one bridge
-// scan per nontrivial 2-cut class, replacing the former per-edge skip-scan
-// (O(m·(n+m))) with an output-sensitive O(n + m + classes·(n+m)) sweep.
+// cover fingerprints a set of non-tree edges: its size, the xor of its edge
+// IDs, and the sum of their mix64 hashes. Equal sets always have equal
+// fingerprints; a one-element set is determined exactly by (cnt, xr).
+type cover struct {
+	cnt int
+	xr  uint64
+	hs  uint64
+}
+
+// keyedCover is a tree edge with the fingerprint of its covering set.
+type keyedCover struct {
+	cover
+	edge int
+}
+
+// coverScan is the scratch of the cover-fingerprint pass shared by CutPairs
+// and the λ ≤ 3 witness search. Instances are recycled through
+// coverScanPool, so warm passes allocate nothing.
+type coverScan struct {
+	disc       []int
+	parentEdge []int // tree edge to the DFS parent, -1 at roots
+	order      []int // DFS preorder: parents precede children
+	isTree     []bool
+	covers     []cover // covers[x] describes tree edge parentEdge[x]
+	stack      []bridgeFrame
+	keyed      []keyedCover
+	bs         bridgeScanner
+	partners   []int
+}
+
+var coverScanPool = sync.Pool{New: func() any { return new(coverScan) }}
+
+// fingerprint builds a DFS spanning forest of g and, for every tree edge,
+// the fingerprint of the set of non-tree edges covering it (the edges whose
+// fundamental cycle contains it), in O(n + m) total. It returns the number
+// of DFS trees, which is 1 exactly when g is connected (and n >= 1).
 //
-// The structure it exploits: fix any DFS spanning tree. A pair of two
-// non-tree edges never disconnects (the tree survives), so every cut pair
-// contains a tree edge t, and the cut it realises is t's fundamental cut —
-// hence the partner is either (a) the unique non-tree edge covering t, when
-// exactly one does, or (b) another tree edge covered by exactly the same
-// set of non-tree edges. "Same covering set" is an equivalence relation, so
-// case (b) groups tree edges into cliques. The covering set of every tree
-// edge is fingerprinted in O(n+m) total by subtree aggregation: a back edge
-// (d, a) with d the deeper endpoint contributes (+1 at d, −1 at a) to the
-// count (ancestor a is never in a subtree without d, so the subtree sum at
-// a tree edge's child vertex counts exactly the covering edges), its ID to
-// an xor at both endpoints (fully-contained edges cancel), and a mixed hash
-// with opposite signs (same cancellation). Count-1 edges read their partner
-// straight out of the xor. Fingerprint groups of count ≥ 2 and size ≥ 2 are
-// then resolved exactly — never trusting the hash — by scanning bridges of
-// G−t for one representative t per clique: those bridges are, by
-// definition, the exact partner set of t, and resolve the whole clique at
-// once. Equal covering sets always produce equal fingerprints, so no pair
-// is ever missed; a hash collision merely costs one extra verification
-// scan.
-//
-// The graph must be 2-edge-connected (so that every size-2 cut is a pair of
-// edges, each individually removable without disconnecting).
-func (g *Graph) CutPairs() []CutPair {
+// The fingerprints come from subtree aggregation: a non-tree edge (d, a)
+// with d the deeper endpoint contributes (+1 at d, −1 at a) to the count
+// (in a DFS forest every non-tree edge joins an ancestor a to a descendant
+// d, and a is never in a subtree without d, so the subtree sum at a tree
+// edge's child vertex counts exactly the covering edges), its ID to an xor
+// at both endpoints (fully-contained edges cancel), and a mixed hash with
+// opposite signs (same cancellation). Self-loops cover nothing.
+func (cs *coverScan) fingerprint(g *Graph) int {
 	n, m := g.n, len(g.edges)
-	if n == 0 || m == 0 {
-		return nil
-	}
-	disc := make([]int, n)
-	parentEdge := make([]int, n)
-	order := make([]int, 0, n) // preorder: parents precede children
+	cs.disc = grow(cs.disc, n)
+	cs.parentEdge = grow(cs.parentEdge, n)
+	cs.covers = grow(cs.covers, n)
+	cs.isTree = grow(cs.isTree, m)
+	disc, parentEdge, covers, isTree := cs.disc, cs.parentEdge, cs.covers, cs.isTree
 	for v := range disc {
 		disc[v] = -1
 		parentEdge[v] = -1
+		covers[v] = cover{}
 	}
-	isTree := make([]bool, m)
-	var stack []bridgeFrame
-	timer := 0
+	clear(isTree)
+	order, stack := cs.order[:0], cs.stack[:0]
+	trees, timer := 0, 0
 	for start := 0; start < n; start++ {
 		if disc[start] != -1 {
 			continue
 		}
+		trees++
 		disc[start] = timer
 		timer++
 		order = append(order, start)
@@ -180,13 +197,8 @@ func (g *Graph) CutPairs() []CutPair {
 			}
 		}
 	}
+	cs.order, cs.stack = order, stack
 
-	// Per-vertex accumulators; after subtree aggregation, the entry at child
-	// vertex x describes the set of non-tree edges covering tree edge
-	// parentEdge[x].
-	cnt := make([]int, n)
-	xr := make([]uint64, n)
-	hs := make([]uint64, n)
 	for _, e := range g.edges {
 		if isTree[e.ID] || e.U == e.V {
 			continue
@@ -196,12 +208,12 @@ func (g *Graph) CutPairs() []CutPair {
 			d, a = a, d
 		}
 		h := mix64(uint64(e.ID))
-		cnt[d]++
-		cnt[a]--
-		xr[d] ^= uint64(e.ID)
-		xr[a] ^= uint64(e.ID)
-		hs[d] += h
-		hs[a] -= h
+		covers[d].cnt++
+		covers[a].cnt--
+		covers[d].xr ^= uint64(e.ID)
+		covers[a].xr ^= uint64(e.ID)
+		covers[d].hs += h
+		covers[a].hs -= h
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		x := order[i]
@@ -210,10 +222,43 @@ func (g *Graph) CutPairs() []CutPair {
 			continue
 		}
 		p := g.edges[pe].Other(x)
-		cnt[p] += cnt[x]
-		xr[p] ^= xr[x]
-		hs[p] += hs[x]
+		covers[p].cnt += covers[x].cnt
+		covers[p].xr ^= covers[x].xr
+		covers[p].hs += covers[x].hs
 	}
+	return trees
+}
+
+// CutPairs enumerates every cut pair of g with one cover-fingerprint pass
+// (coverScan.fingerprint) plus one bridge scan per nontrivial 2-cut class:
+// an output-sensitive O(n + m + classes·(n+m)) sweep.
+//
+// The structure it exploits: fix any DFS spanning tree. A pair of two
+// non-tree edges never disconnects (the tree survives), so every cut pair
+// contains a tree edge t, and the cut it realises is t's fundamental cut —
+// hence the partner is either (a) the unique non-tree edge covering t, when
+// exactly one does, or (b) another tree edge covered by exactly the same
+// set of non-tree edges. "Same covering set" is an equivalence relation, so
+// case (b) groups tree edges into cliques. Count-1 edges read their partner
+// straight out of the fingerprint's xor. Fingerprint groups of count ≥ 2
+// and size ≥ 2 are then resolved exactly — never trusting the hash — by
+// scanning bridges of G−t for one representative t per clique: those
+// bridges are, by definition, the exact partner set of t, and resolve the
+// whole clique at once. Equal covering sets always produce equal
+// fingerprints, so no pair is ever missed; a hash collision merely costs
+// one extra verification scan.
+//
+// The graph must be 2-edge-connected (so that every size-2 cut is a pair of
+// edges, each individually removable without disconnecting). The output
+// has Θ(n²) pairs on a long cycle; to decide whether any cut pair exists,
+// use EdgeConnectivityUpTo(3), which stops at the first witness.
+func (g *Graph) CutPairs() []CutPair {
+	if g.n == 0 || len(g.edges) == 0 {
+		return nil
+	}
+	cs := coverScanPool.Get().(*coverScan)
+	defer coverScanPool.Put(cs)
+	cs.fingerprint(g)
 
 	var pairs []CutPair
 	addPair := func(a, b int) {
@@ -229,36 +274,28 @@ func (g *Graph) CutPairs() []CutPair {
 			}
 		}
 	}
-	type fingerprint struct {
-		cnt int
-		xr  uint64
-		hs  uint64
-	}
-	groups := make(map[fingerprint][]int)
-	for _, x := range order {
-		pe := parentEdge[x]
-		if pe == -1 || cnt[x] < 1 {
+	groups := make(map[cover][]int)
+	for _, x := range cs.order {
+		pe, c := cs.parentEdge[x], cs.covers[x]
+		if pe == -1 || c.cnt < 1 {
 			continue
 		}
-		if cnt[x] == 1 {
+		if c.cnt == 1 {
 			// Exactly one covering non-tree edge: the xor IS its ID.
-			addPair(pe, int(xr[x]))
+			addPair(pe, int(c.xr))
 		}
-		k := fingerprint{cnt[x], xr[x], hs[x]}
-		groups[k] = append(groups[k], pe)
+		groups[c] = append(groups[c], pe)
 	}
-	var bs bridgeScanner
-	var scratch []int
 	var resolved map[int]bool
 	// The emitted pair set is iteration-order independent: a scan resolves
 	// a whole equivalence class whichever member is scanned first, and the
 	// pairs are sorted before return.
 	//kecss:nondeterministic-ok pair set is order-independent and sorted below
-	for k, members := range groups {
+	for c, members := range groups {
 		if len(members) < 2 {
 			continue
 		}
-		if k.cnt == 1 {
+		if c.cnt == 1 {
 			// A one-element covering set is determined exactly by (cnt, xor):
 			// the whole group genuinely shares the set, no scan needed.
 			emitClique(members)
@@ -276,13 +313,13 @@ func (g *Graph) CutPairs() []CutPair {
 				continue
 			}
 			resolved[t] = true
-			scratch = bs.scan(g, t, scratch[:0])
-			if len(scratch) == 0 {
+			cs.partners = cs.bs.scan(g, t, cs.partners[:0])
+			if len(cs.partners) == 0 {
 				continue
 			}
-			class := make([]int, 0, len(scratch)+1)
+			class := make([]int, 0, len(cs.partners)+1)
 			class = append(class, t)
-			class = append(class, scratch...)
+			class = append(class, cs.partners...)
 			for _, p := range class {
 				resolved[p] = true
 			}
@@ -298,31 +335,92 @@ func (g *Graph) CutPairs() []CutPair {
 	return pairs
 }
 
+// witnessConnectivityUpTo returns min(λ(g), c) for 1 <= c <= 3 on a graph
+// with n >= 2, without max-flow: it searches the cover fingerprints for the
+// first witness that λ < c and stops there. The witnesses follow the
+// CutPairs characterisation: more than one DFS tree (λ = 0), a tree edge
+// covered by nothing (a bridge, λ = 1), a tree edge covered by exactly one
+// non-tree edge (a cut pair, λ = 2), or two tree edges with the same
+// covering set (a cut pair, λ = 2). Equal sets have equal fingerprints, so
+// the last kind lies inside one run of equal fingerprints after sorting;
+// there an exact bridge scan of G−t decides, for each run member t but the
+// last (a partner of the last would be a member whose own scan found it).
+// The hash only groups tree edges and never decides the answer: a
+// collision costs one empty scan. O(n + m) plus a sort of n−1 fingerprints.
+func (g *Graph) witnessConnectivityUpTo(c int) int {
+	cs := coverScanPool.Get().(*coverScan)
+	defer coverScanPool.Put(cs)
+	if cs.fingerprint(g) > 1 {
+		return 0
+	}
+	minCnt := len(g.edges)
+	keyed := cs.keyed[:0]
+	for _, x := range cs.order {
+		if pe := cs.parentEdge[x]; pe != -1 {
+			minCnt = min(minCnt, cs.covers[x].cnt)
+			keyed = append(keyed, keyedCover{cs.covers[x], pe})
+		}
+	}
+	cs.keyed = keyed
+	switch {
+	case minCnt == 0:
+		return 1
+	case c <= 2 || minCnt == 1:
+		return min(2, c)
+	}
+	slices.SortFunc(keyed, func(a, b keyedCover) int {
+		return cmp.Or(cmp.Compare(a.cnt, b.cnt), cmp.Compare(a.xr, b.xr), cmp.Compare(a.hs, b.hs))
+	})
+	for i := 0; i < len(keyed); {
+		j := i + 1
+		for j < len(keyed) && keyed[j].cover == keyed[i].cover {
+			j++
+		}
+		for _, k := range keyed[i : j-1] {
+			if cs.partners = cs.bs.scan(g, k.edge, cs.partners[:0]); len(cs.partners) > 0 {
+				return 2
+			}
+		}
+		i = j
+	}
+	return c
+}
+
 // EdgeConnectivity returns the global edge connectivity λ(g): the minimum
-// number of edges whose removal disconnects g. It fixes s=0 and computes a
-// unit-capacity max-flow to every other vertex (λ = min over t≠s of
-// maxflow(s,t) because any global min cut separates s from some t).
-// Returns 0 for disconnected graphs and n-1... is undefined for n<=1, where
-// it returns a large value (the graph cannot be disconnected).
+// number of edges whose removal disconnects g. It is 0 for a disconnected
+// graph. A graph with at most one vertex cannot be disconnected; there it
+// returns M()+1.
 func (g *Graph) EdgeConnectivity() int {
 	return g.EdgeConnectivityUpTo(g.M() + 1)
 }
 
-// EdgeConnectivityUpTo returns min(λ(g), cap). Capping lets k-connectivity
-// checks terminate each max-flow after cap augmenting paths.
-//
-// The Dinic scratch (arc arrays, levels, iterators, BFS queue) is drawn from
-// a package-level pool and reloaded in place, so repeated calls — the
-// kecss.Pool validation sweep, the cut enumerator's λ check, and the
-// post-solve k-connectivity audits — allocate nothing once the pool is warm.
-func (g *Graph) EdgeConnectivityUpTo(capLimit int) int {
+// EdgeConnectivityUpTo returns min(λ(g), c). For c <= 3 it is the exact
+// witness search of witnessConnectivityUpTo: O(n + m) plus a sort, no
+// max-flow. For c >= 4 it runs the capped max-flow sweep of
+// flowConnectivityUpTo. Both draw their scratch from package pools, so warm
+// calls — the kecss.Pool validation sweep, the solvers' validate and audit
+// checks, the cut enumerator's λ check — allocate nothing. For n <= 1 it
+// returns c.
+func (g *Graph) EdgeConnectivityUpTo(c int) int {
+	if c >= 4 {
+		return g.flowConnectivityUpTo(c)
+	}
+	if g.n <= 1 || c <= 0 {
+		return c
+	}
+	return g.witnessConnectivityUpTo(c)
+}
+
+// flowConnectivityUpTo returns min(λ(g), c) by unit-capacity max-flow: it
+// fixes s=0 and runs one flow to every other vertex, each capped at the
+// best value so far (λ = min over t≠s of maxflow(s,t) because any global
+// min cut separates s from some t). The Dinic scratch (arc arrays, levels,
+// iterators, BFS queue) is drawn from dinicPool and reloaded in place.
+func (g *Graph) flowConnectivityUpTo(c int) int {
 	if g.n <= 1 {
-		return capLimit
+		return c
 	}
-	best := capLimit
-	if d := g.MinDegree(); d < best {
-		best = d
-	}
+	best := min(c, g.MinDegree())
 	d := dinicPool.Get().(*dinic)
 	d.reload(g)
 	// An unreachable t yields flow 0, so disconnected graphs report 0
@@ -339,16 +437,7 @@ func (g *Graph) EdgeConnectivityUpTo(capLimit int) int {
 // IsKEdgeConnected reports whether g remains connected after removal of any
 // k-1 edges.
 func (g *Graph) IsKEdgeConnected(k int) bool {
-	if k <= 0 {
-		return true
-	}
-	if k == 1 {
-		return g.Connected()
-	}
-	if k == 2 {
-		return g.TwoEdgeConnected()
-	}
-	return g.EdgeConnectivityUpTo(k) >= k
+	return k <= 0 || g.EdgeConnectivityUpTo(k) >= k
 }
 
 // dinic is a unit-capacity max-flow structure over an undirected graph:
@@ -374,16 +463,12 @@ var dinicPool = sync.Pool{New: func() any { return new(dinic) }}
 func (d *dinic) reload(g *Graph) {
 	d.n = g.n
 	arcs := 2 * g.M()
-	d.head = growInts(d.head, g.n)
-	d.level = growInts(d.level, g.n)
-	d.iter = growInts(d.iter, g.n)
-	d.next = growInts(d.next, arcs)
-	d.to = growInts(d.to, arcs)
-	if cap(d.cap) < arcs {
-		d.cap = make([]int8, arcs)
-	} else {
-		d.cap = d.cap[:arcs]
-	}
+	d.head = grow(d.head, g.n)
+	d.level = grow(d.level, g.n)
+	d.iter = grow(d.iter, g.n)
+	d.next = grow(d.next, arcs)
+	d.to = grow(d.to, arcs)
+	d.cap = grow(d.cap, arcs)
 	for v := 0; v < g.n; v++ {
 		d.head[v] = -1
 	}
@@ -401,10 +486,11 @@ func (d *dinic) reload(g *Graph) {
 	}
 }
 
-// growInts returns s resized to n, reusing its backing array when possible.
-func growInts(s []int, n int) []int {
+// grow returns s resized to n, reusing its backing array when possible.
+// The contents are unspecified; callers initialise what they read.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

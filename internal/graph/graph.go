@@ -1,6 +1,7 @@
 // Package graph provides the undirected weighted multigraph substrate used
 // by every algorithm in this repository: representation, traversals,
-// connectivity tests (bridges, cut pairs, edge connectivity via max-flow,
+// connectivity tests (bridges, cut pairs, edge connectivity — a near-linear
+// cover-fingerprint witness search up to 3, capped max-flow above — and
 // global min cut), and the graph generators used by the experiment harness.
 //
 // Vertices are dense integers 0..N-1. Edges carry non-negative integer

@@ -600,8 +600,9 @@ func TestUnionFindReset(t *testing.T) {
 }
 
 // TestEdgeConnectivityPooledReload interleaves connectivity queries on
-// graphs of very different sizes, which forces the pooled Dinic scratch to
-// reload across shapes — any stale arc state would surface as a wrong λ.
+// graphs of very different sizes, which forces the pooled Dinic and
+// cover-scan scratch to reload across shapes — any stale state would
+// surface as a wrong λ.
 func TestEdgeConnectivityPooledReload(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	big := RandomKConnected(120, 4, 80, rng, UnitWeights())
@@ -657,53 +658,62 @@ func cutPairsBruteForce(g *Graph) []CutPair {
 	return want
 }
 
-// TestCutPairsMatchesSubgraphOracle pins the single-pass fingerprint
-// enumeration against the remove-one-edge-and-rescan brute force across
-// families exercising each branch: cnt==1 tree/non-tree pairs (cycles),
-// cnt>=2 tree/tree cliques (theta graphs: parallel internally-disjoint
-// paths), parallel edges (multigraphs), and sparse random 2-edge-connected
-// graphs.
-func TestCutPairsMatchesSubgraphOracle(t *testing.T) {
-	theta := func(paths, hops int) *Graph {
-		// Two hubs joined by `paths` internally-disjoint paths of `hops`
-		// edges. Every path's edge set is one 2-cut clique when paths >= 3.
-		g := New(2 + paths*(hops-1))
-		next := 2
-		for p := 0; p < paths; p++ {
-			prev := 0
-			for h := 0; h < hops-1; h++ {
-				g.AddEdge(prev, next, 1)
-				prev = next
-				next++
-			}
-			g.AddEdge(prev, 1, 1)
+// thetaGraph returns two hubs joined by `paths` internally-disjoint paths
+// of `hops` edges. Every path's edge set is one 2-cut clique when
+// paths >= 3.
+func thetaGraph(paths, hops int) *Graph {
+	g := New(2 + paths*(hops-1))
+	next := 2
+	for p := 0; p < paths; p++ {
+		prev := 0
+		for h := 0; h < hops-1; h++ {
+			g.AddEdge(prev, next, 1)
+			prev = next
+			next++
 		}
-		return g
+		g.AddEdge(prev, 1, 1)
 	}
-	multi := func() *Graph {
-		// A 6-cycle with doubled chords and a tripled edge: parallel copies
-		// are mutual cut pairs only when doubling, never when tripled.
-		g := Cycle(6, UnitWeights())
-		g.AddEdge(0, 3, 1)
-		g.AddEdge(0, 3, 1)
-		g.AddEdge(1, 4, 1)
-		g.AddEdge(2, 5, 1)
-		g.AddEdge(2, 5, 1)
-		g.AddEdge(2, 5, 1)
-		return g
-	}
+	return g
+}
+
+// multiGraph returns a 6-cycle with doubled chords and a tripled edge:
+// parallel copies are mutual cut pairs only when doubling, never when
+// tripled.
+func multiGraph() *Graph {
+	g := Cycle(6, UnitWeights())
+	g.AddEdge(0, 3, 1)
+	g.AddEdge(0, 3, 1)
+	g.AddEdge(1, 4, 1)
+	g.AddEdge(2, 5, 1)
+	g.AddEdge(2, 5, 1)
+	g.AddEdge(2, 5, 1)
+	return g
+}
+
+// cutPairCorpus is the 2-edge-connected corpus of the CutPairs oracle
+// test: cnt==1 tree/non-tree pairs (cycles), cnt>=2 tree/tree cliques
+// (theta graphs: parallel internally-disjoint paths), parallel edges
+// (multigraphs), and sparse random 2-edge-connected graphs.
+func cutPairCorpus() []*Graph {
 	cases := []*Graph{
 		Cycle(4, UnitWeights()),
 		Cycle(9, UnitWeights()),
-		theta(3, 4),
-		theta(4, 3),
-		multi(),
+		thetaGraph(3, 4),
+		thetaGraph(4, 3),
+		multiGraph(),
 	}
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		cases = append(cases, RandomKConnected(10+3*trial, 2, trial*2, rng, UnitWeights()))
 	}
-	for i, g := range cases {
+	return cases
+}
+
+// TestCutPairsMatchesSubgraphOracle pins the single-pass fingerprint
+// enumeration against the remove-one-edge-and-rescan brute force across
+// cutPairCorpus, which exercises each branch.
+func TestCutPairsMatchesSubgraphOracle(t *testing.T) {
+	for i, g := range cutPairCorpus() {
 		got := g.CutPairs()
 		want := cutPairsBruteForce(g)
 		if len(got) == 0 && len(want) == 0 {
@@ -712,5 +722,83 @@ func TestCutPairsMatchesSubgraphOracle(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (n=%d m=%d): CutPairs %v, oracle %v", i, g.N(), g.M(), got, want)
 		}
+	}
+}
+
+// addSelfLoop attaches a self-loop at v the way AddEdge would if it
+// accepted one (one edge, two arcs), for robustness tests of graphs built
+// outside AddEdge.
+func addSelfLoop(g *Graph, v int) {
+	id := len(g.edges)
+	g.edges = append(g.edges, Edge{ID: id, U: v, V: v, W: 1})
+	g.adj[v] = append(g.adj[v], Arc{To: v, Edge: id}, Arc{To: v, Edge: id})
+}
+
+// TestEdgeConnectivityWitnessMatchesFlow pins the λ ≤ 3 witness search
+// against the capped max-flow reference for every cap 0..4. Besides the
+// CutPairs corpus it covers λ = 3, 4, 5 (Harary, RandomKConnected),
+// bridges (a path), disconnected and trivial graphs, a parallel-edge pair,
+// self-loops, and a cycle whose closing edge is tripled: DFS from 0 walks
+// the whole ring, so every tree edge is covered by the same three parallel
+// edges and only the equal-fingerprint scan finds the cut pairs.
+func TestEdgeConnectivityWitnessMatchesFlow(t *testing.T) {
+	path := New(5)
+	for v := 0; v+1 < 5; v++ {
+		path.AddEdge(v, v+1, 1)
+	}
+	disconnected := New(6)
+	disconnected.AddEdge(0, 1, 1)
+	disconnected.AddEdge(1, 2, 1)
+	disconnected.AddEdge(2, 0, 1)
+	disconnected.AddEdge(3, 4, 1)
+	disconnected.AddEdge(4, 5, 1)
+	disconnected.AddEdge(5, 3, 1)
+	tripled := New(2)
+	tripled.AddEdge(0, 1, 1)
+	tripled.AddEdge(0, 1, 1)
+	tripled.AddEdge(0, 1, 1)
+	loopedBridge := New(2)
+	loopedBridge.AddEdge(0, 1, 1)
+	addSelfLoop(loopedBridge, 1)
+	closedRing := Cycle(7, UnitWeights())
+	closedRing.AddEdge(6, 0, 1)
+	closedRing.AddEdge(6, 0, 1)
+	loops := Harary(3, 9, UnitWeights())
+	addSelfLoop(loops, 0)
+	addSelfLoop(loops, 4)
+	loopyCycle := Cycle(5, UnitWeights())
+	addSelfLoop(loopyCycle, 2)
+
+	cases := cutPairCorpus()
+	cases = append(cases,
+		Harary(3, 10, UnitWeights()), Harary(3, 11, UnitWeights()),
+		Harary(4, 12, UnitWeights()), Harary(5, 13, UnitWeights()),
+		path, disconnected, New(0), New(1), New(2), tripled, loopedBridge,
+		closedRing, loops, loopyCycle,
+	)
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 6; trial++ {
+		cases = append(cases, RandomKConnected(12+4*trial, 3+trial%2, trial*3, rng, UnitWeights()))
+	}
+	for i, g := range cases {
+		for c := 0; c <= 4; c++ {
+			if got, want := g.EdgeConnectivityUpTo(c), g.flowConnectivityUpTo(c); got != want {
+				t.Errorf("case %d (n=%d m=%d): EdgeConnectivityUpTo(%d) = %d, flow reference %d",
+					i, g.N(), g.M(), c, got, want)
+			}
+		}
+	}
+}
+
+// TestEdgeConnectivityWitnessScales guards the witness search's early exit
+// and its linear full pass at sizes where one max-flow per vertex is out of
+// reach: a long cycle (λ = 2, every tree edge has a single cover) and a
+// large Harary graph (λ = 3, no witness, every fingerprint sorted).
+func TestEdgeConnectivityWitnessScales(t *testing.T) {
+	if lam := Cycle(1<<17, UnitWeights()).EdgeConnectivityUpTo(3); lam != 2 {
+		t.Errorf("Cycle(2^17): λ capped at 3 = %d, want 2", lam)
+	}
+	if lam := Harary(3, 1<<15, UnitWeights()).EdgeConnectivityUpTo(3); lam != 3 {
+		t.Errorf("Harary(3, 2^15): λ capped at 3 = %d, want 3", lam)
 	}
 }

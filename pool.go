@@ -161,10 +161,9 @@ func (p *Pool) Close() { p.svc.Close() }
 // Sweep solves every task on the pool's workers and returns one Result per
 // task, in task order. Individual failures land in Result.Err; Sweep itself
 // never fails (on a closed pool every Result carries ErrPoolClosed). Before
-// solving, each distinct graph's edge connectivity is checked once (up to
-// the largest k any of its tasks needs, using the capped max-flow's early
-// exit) instead of once per task, so multi-trial sweeps do not re-validate
-// identical graphs.
+// solving, each distinct graph's edge connectivity is checked once (capped
+// at the largest k any of its tasks needs) instead of once per task, so
+// multi-trial sweeps do not re-validate identical graphs.
 func (p *Pool) Sweep(tasks []Task) []Result {
 	results := make([]Result, len(tasks))
 	for i := range results {
@@ -218,11 +217,12 @@ func (t Task) requiredConnectivity() (int, error) {
 }
 
 // preValidate computes, once per distinct graph, min(λ, maxK) with maxK the
-// largest connectivity any of the graph's tasks requires — one capped Dinic
-// sweep answers every task's "is it k-edge-connected?" — and records an
-// error on each task whose requirement fails. Validations of distinct
-// graphs run on the pool's workers; a non-nil return means the pool was
-// closed and nothing was validated.
+// largest connectivity any of the graph's tasks requires, and records an
+// error on each task whose requirement fails. One capped check answers
+// every task's "is it k-edge-connected?": a near-linear witness search for
+// maxK <= 3, a capped max-flow sweep above. Validations of distinct graphs
+// run on the pool's workers; a non-nil return means the pool was closed and
+// nothing was validated.
 func (p *Pool) preValidate(tasks []Task, results []Result) error {
 	needBy := make(map[*Graph]int)
 	var order []*Graph

@@ -234,6 +234,18 @@ func TestPoolBatchHelpers(t *testing.T) {
 // task that needs more connectivity than it has.
 func TestPoolValidationRejectsPerTask(t *testing.T) {
 	ring := graph.Cycle(12, graph.UnitWeights()) // 2- but not 3-edge-connected
+	// Two K4s joined by two disjoint edges: minimum degree 3, so no degree
+	// bound rejects it, but the two joining edges are a cut pair.
+	bridgedK4s := graph.New(8)
+	for _, base := range []int{0, 4} {
+		for u := base; u < base+4; u++ {
+			for v := u + 1; v < base+4; v++ {
+				bridgedK4s.AddEdge(u, v, 1)
+			}
+		}
+	}
+	bridgedK4s.AddEdge(0, 4, 1)
+	bridgedK4s.AddEdge(1, 5, 1)
 	p := NewPool(2)
 	defer p.Close()
 	results := p.Sweep([]Task{
@@ -242,17 +254,26 @@ func TestPoolValidationRejectsPerTask(t *testing.T) {
 		{Graph: ring, Solver: Solver3ECSSUnweighted},
 		{Graph: nil, Solver: Solver2ECSS},
 		{Graph: ring, Solver: SolverKECSS, K: 0},
+		{Graph: bridgedK4s, Solver: SolverKECSS, K: 3},
+		{Graph: bridgedK4s, Solver: Solver3ECSSUnweighted},
 	})
 	if results[0].Err != nil {
 		t.Fatalf("2-ECSS on a ring must pass: %v", results[0].Err)
 	}
-	for _, i := range []int{1, 2, 3, 4} {
+	for _, i := range []int{1, 2, 3, 4, 5, 6} {
 		if results[i].Err == nil {
 			t.Fatalf("task %d should have failed validation", i)
 		}
 	}
-	if _, err := p.Solve3ECSS([]*Graph{ring}); err == nil {
-		t.Fatal("batch helper must surface validation failure")
+	for _, i := range []int{1, 2, 5, 6} {
+		if !strings.Contains(results[i].Err.Error(), "input graph is not 3-edge-connected") {
+			t.Errorf("task %d: err = %v, want the not-3-edge-connected rejection", i, results[i].Err)
+		}
+	}
+	for _, g := range []*Graph{ring, bridgedK4s} {
+		if _, err := p.Solve3ECSS([]*Graph{g}); err == nil {
+			t.Fatal("batch helper must surface validation failure")
+		}
 	}
 }
 
