@@ -44,12 +44,10 @@ func BenchmarkMicro_Solve3ECSSEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_Solve3ECSSEndToEndLarge is the opt-in n=10^4 scale bench:
-// one cold end-to-end solve per op (~4 minutes; run with -benchtime 1x).
-// The regular bench smoke's regex excludes it; the `large-bench` CI job
-// (workflow_dispatch, or a commit message containing [large-bench]) runs it
-// and appends the row to BENCH_cuts.json with allocs/op and ns/op ceilings
-// enforced by benchjson.
+// BenchmarkMicro_Solve3ECSSEndToEndLarge is the n=10^4 scale bench: one
+// cold end-to-end solve per op (a few seconds; run with -benchtime 1x). The
+// CI 3-ECSS bench smoke runs it on every push and writes its row to
+// BENCH_3ecss.json with allocs/op and ns/op ceilings enforced by benchjson.
 func BenchmarkMicro_Solve3ECSSEndToEndLarge(b *testing.B) {
 	for _, n := range []int{10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -59,6 +57,36 @@ func BenchmarkMicro_Solve3ECSSEndToEndLarge(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := Solve3ECSSUnweighted(g, WithSeed(int64(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Size == 0 {
+					b.Fatal("empty result")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMicro_Solve3ECSSWeightedRing is the CoverIndex worst case: the
+// weighted Möbius ladder C(n; 1, n/2) — an n-cycle of weight-1 edges plus
+// the n/2 weight-8 diameter chords. The weighted 2-ECSS base is the ring,
+// so the labeling tree is a path of height Θ(n) whose tree edges all start
+// in one label class, and every chord covers Θ(n) of them.
+func BenchmarkMicro_Solve3ECSSWeightedRing(b *testing.B) {
+	for _, n := range []int{1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			g := graph.New(n)
+			for i := 0; i < n; i++ {
+				g.AddEdge(i, (i+1)%n, 1)
+			}
+			for i := 0; i < n/2; i++ {
+				g.AddEdge(i, i+n/2, 8)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Solve3ECSSWeighted(g, WithSeed(int64(i)))
 				if err != nil {
 					b.Fatal(err)
 				}

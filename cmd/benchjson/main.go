@@ -11,9 +11,8 @@
 // writing the report, so the artifact survives for debugging). The
 // allocation ceilings pin a warm path's behaviour: a regression that
 // reintroduces per-trial or per-iteration allocations trips them
-// immediately. The ns/op ceilings are the coarse guard for the opt-in
-// large-bench smoke, where a single n=10^4 solve at -benchtime 1x is the
-// whole measurement.
+// immediately. The ns/op ceilings are the coarse guard for the large
+// benches, where a single cold n=10^4 solve is the whole measurement.
 package main
 
 import (
@@ -93,7 +92,7 @@ func main() {
 	var ceilings, byteCeilings, nsCeilings ceilingList
 	flag.Var(&ceilings, "max-allocs", "substring=ceiling; fail if a matching benchmark exceeds ceiling allocs/op (repeatable)")
 	flag.Var(&byteCeilings, "max-bytes", "substring=ceiling; fail if a matching benchmark exceeds ceiling bytes/op (repeatable)")
-	flag.Var(&nsCeilings, "max-ns", "substring=ceiling; fail if a matching benchmark exceeds ceiling ns/op (repeatable; a coarse wall-clock guard for the opt-in large benches — set it with several-x headroom over the measured baseline, since CI machines vary)")
+	flag.Var(&nsCeilings, "max-ns", "substring=ceiling; fail if a matching benchmark exceeds ceiling ns/op (repeatable; a coarse wall-clock guard for the large benches — set it with several-x headroom over the measured baseline, since CI machines vary)")
 	flag.Parse()
 
 	var results []benchResult

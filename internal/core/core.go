@@ -54,9 +54,10 @@
 // The 3-ECSS loop goes further, since its cover counts live in the
 // cycle-space labeling rather than an explicit cut list: a
 // cycles.CoverIndex maintains every unselected candidate's |Ce| under
-// label updates (heavy-path Fenwick path sums plus a small same-label
-// pair correction; see that type's docs), reporting exactly the
-// candidates whose count may have changed, and an exponent-bucket
+// label updates (a heavy-path Fenwick path sum minus a cached same-label
+// pair count that the label hook keeps current, so a recompute is
+// O(log² n); see that type's docs), reporting exactly the candidates
+// whose count may have changed, and an exponent-bucket
 // structure (expBuckets) turns "max rounded cost-effectiveness + pool
 // attaining it" into an O(pool + stale) pop — iterations touch candidates
 // proportional to what changed, not to m. The pool a bucket pop yields is

@@ -225,10 +225,10 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 
 	// Candidates are evaluated output-sensitively: a cycles.CoverIndex
 	// keeps every candidate's |Ce| current under the engine's label updates
-	// (recomputing only candidates whose covering tree edges changed), and
-	// expBuckets keep them sorted by rounded exponent, so Lines 1–2 cost
-	// O(pool + changed candidates) per iteration instead of an O(m·height)
-	// rescan.
+	// (recomputing, in O(log² n) each, only candidates whose covering tree
+	// edges changed), and expBuckets keep them sorted by rounded exponent,
+	// so Lines 1–2 cost O(pool + changed candidates) per iteration instead
+	// of an O(m·height) rescan.
 	candIDs := make([]int, 0, g.M()-len(h))
 	candIdx := make([]int32, g.M()) // host edge ID -> candidate index, -1 outside the pool
 	for i := range candIdx {

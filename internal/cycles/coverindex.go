@@ -18,16 +18,29 @@ import (
 //
 // (ne_L is the number of path edges labeled L; Σ ne_L·n_L telescopes into a
 // per-edge sum, and Σ ne_L² = |P| + 2·same-label pairs). The first term is a
-// Fenwick path sum over heavy-path-decomposition positions (O(log² n)); the
-// last touches only labels carried by ≥ 2 tree edges — exactly the cut-pair
-// labels, a set the engine keeps tiny — each tested against the path in
-// O(1) by subtree position. So one recompute is O(log² n + cut pairs)
-// instead of O(height).
+// Fenwick path sum over heavy-path-decomposition positions. The last — the
+// candidate's same-label pair count — is cached per candidate and kept
+// current from the label hook: when tree edge t moves from class old to
+// class new, every candidate whose path covers t (the tree-edge→candidate
+// adjacency, built once in O(Σ path lengths)) moves by |new ∩ P| −
+// |old∖t ∩ P|, each class member tested against the path in O(1) by
+// subtree position. So a recompute is O(log² n), and a relabel costs the
+// covering candidates × the two class sizes — nothing when both classes
+// are singletons, the common case.
 //
-// Change tracking hooks into the engine (labelHook): a candidate is dirty
-// iff some tree edge on its path changed label or changed its stored
-// n_φ(t) weight — found through the tree-edge→candidate adjacency the
-// index builds once (O(Σ path lengths)). Everything is exact integer
+// Big classes (a Θ(n)-height tree can start as one Θ(n) class) make
+// per-relabel deltas dearer than a rescan, so the delta work a candidate
+// absorbs between two recomputes is capped at |P| — the cost of one rescan,
+// which walks the path and histograms its class slots. A candidate over
+// that budget goes stale and its next Refresh rescans it, the same scan
+// construction and reset() use. The budget follows the input; either way
+// the count is exact.
+//
+// n_φ changes are deferred: the hook records which labels moved and which
+// tree edges were relabeled, and the next Refresh sets each affected tree
+// edge's Fenwick weight once, dirtying its candidates only if the weight
+// actually moved. A candidate is dirty iff a tree edge on its path changed
+// weight or changed its pair count. Everything is exact integer
 // arithmetic: Refresh reproduces Incremental.CoverCount bit for bit, which
 // the equivalence tests pin.
 //
@@ -37,10 +50,16 @@ type CoverIndex struct {
 	inc *Incremental
 	hp  *tree.HPD
 
-	// Candidates, by index: host endpoints, liveness, cached count.
+	// Candidates, by index: host endpoints, path length, liveness, cached
+	// count, cached same-label pair count (valid unless stale), and the
+	// delta work spent on it since its last recompute.
 	candU, candV []int32
+	pathLen      []int
 	active       []bool
 	ce           []int64
+	pairs        []int64
+	stale        []bool
+	spent        []int
 
 	// Tree-edge→candidate adjacency, CSR over child vertices.
 	adjOff  []int32
@@ -54,16 +73,31 @@ type CoverIndex struct {
 
 	edgeChild []int32 // host edge ID -> child vertex, -1 for non-tree edges
 
-	// Label -> child vertices of the tree edges carrying it, with O(1)
-	// swap-delete via posInLabel; multi lists the labels carried by ≥ 2
-	// tree edges (the only labels that can contribute same-label pairs).
-	byLabel    map[uint64][]int32
-	posInLabel []int32
-	multi      []uint64
-	multiPos   map[uint64]int
+	// Label classes: the tree edges carrying each label, in recycled slots.
+	// classAt[x] and posInClass[x] locate tree edge x for O(1) swap-delete;
+	// slotCount is the rescan's per-slot histogram (all zero between scans).
+	slotOf     map[uint64]int32
+	classes    []labelClass
+	freeSlots  []int32
+	classAt    []int32
+	posInClass []int32
+	slotCount  []int32
+
+	// Deferred weight updates since the last Refresh: class slots whose
+	// label's n_φ moved (stamped with epoch), and relabeled tree edges.
+	epoch   uint32
+	queued  []int32
+	pending []bool
+	pendLst []int32
 
 	dirty     []bool
 	dirtyList []int32
+}
+
+// labelClass is one label's tree edges (as child vertices).
+type labelClass struct {
+	edges  []int32
+	queued uint32 // epoch in which the slot was last queued for a flush
 }
 
 // NewCoverIndex builds the index for the given candidate host edges over
@@ -78,14 +112,21 @@ func NewCoverIndex(eng *Incremental, candIDs []int) *CoverIndex {
 		hp:         tree.NewHPD(eng.Tree),
 		candU:      make([]int32, len(candIDs)),
 		candV:      make([]int32, len(candIDs)),
+		pathLen:    make([]int, len(candIDs)),
 		active:     make([]bool, len(candIDs)),
 		ce:         make([]int64, len(candIDs)),
+		pairs:      make([]int64, len(candIDs)),
+		stale:      make([]bool, len(candIDs)),
+		spent:      make([]int, len(candIDs)),
 		w:          make([]int64, n),
 		fen:        make([]int64, n+1),
 		edgeChild:  make([]int32, eng.G.M()),
-		byLabel:    make(map[uint64][]int32, n),
-		posInLabel: make([]int32, n),
-		multiPos:   make(map[uint64]int, 8),
+		slotOf:     make(map[uint64]int32, n),
+		classAt:    make([]int32, n),
+		posInClass: make([]int32, n),
+		slotCount:  make([]int32, n),
+		epoch:      1,
+		pending:    make([]bool, n),
 		dirty:      make([]bool, len(candIDs)),
 		dirtyList:  make([]int32, 0, len(candIDs)),
 	}
@@ -100,15 +141,14 @@ func NewCoverIndex(eng *Incremental, candIDs []int) *CoverIndex {
 	for i, id := range candIDs {
 		e := eng.G.Edge(id)
 		cx.candU[i], cx.candV[i] = int32(e.U), int32(e.V)
-		if !eng.IsActive(id) {
-			cx.active[i] = true
-			cx.dirty[i] = true
-			cx.dirtyList = append(cx.dirtyList, int32(i))
-		}
+		cx.active[i] = !eng.IsActive(id)
 	}
 	// Tree-edge→candidate adjacency: count, prefix-sum, fill.
 	counts := make([]int32, n)
-	cx.eachPathVertex(func(x int32, _ int32) { counts[x]++ })
+	cx.eachPathVertex(func(x int32, ci int32) {
+		counts[x]++
+		cx.pathLen[ci]++
+	})
 	cx.adjOff = make([]int32, n+1)
 	for v := 0; v < n; v++ {
 		cx.adjOff[v+1] = cx.adjOff[v] + counts[v]
@@ -120,7 +160,7 @@ func NewCoverIndex(eng *Incremental, candIDs []int) *CoverIndex {
 		cx.adjList[fill[x]] = ci
 		fill[x]++
 	})
-	cx.rebuildLabels()
+	cx.reset()
 	eng.hook = cx
 	return cx
 }
@@ -141,12 +181,17 @@ func (cx *CoverIndex) eachPathVertex(fn func(x, ci int32)) {
 	}
 }
 
-// rebuildLabels recomputes the label index, Fenwick weights and multi set
-// from the engine's current state (construction and reset()).
+// rebuildLabels recomputes the label classes and Fenwick weights from the
+// engine's current state, dropping any deferred updates.
 func (cx *CoverIndex) rebuildLabels() {
-	clear(cx.byLabel)
-	clear(cx.multiPos)
-	cx.multi = cx.multi[:0]
+	clear(cx.slotOf)
+	cx.classes = cx.classes[:0]
+	cx.freeSlots = cx.freeSlots[:0]
+	cx.queued = cx.queued[:0]
+	for _, x := range cx.pendLst {
+		cx.pending[x] = false
+	}
+	cx.pendLst = cx.pendLst[:0]
 	clear(cx.fen)
 	tr := cx.inc.Tree
 	for v := range cx.w {
@@ -162,38 +207,47 @@ func (cx *CoverIndex) rebuildLabels() {
 	}
 }
 
-// labelAdd appends tree edge x to lab's list, maintaining the multi set.
-func (cx *CoverIndex) labelAdd(lab uint64, x int32) {
-	l := cx.byLabel[lab]
-	cx.posInLabel[x] = int32(len(l))
-	l = append(l, x)
-	cx.byLabel[lab] = l
-	if len(l) == 2 {
-		cx.multiPos[lab] = len(cx.multi)
-		cx.multi = append(cx.multi, lab)
+// classOf returns the slot of lab's class, or -1 if no tree edge carries it.
+func (cx *CoverIndex) classOf(lab uint64) int32 {
+	if s, ok := cx.slotOf[lab]; ok {
+		return s
 	}
+	return -1
 }
 
-// labelRemove removes tree edge x from lab's list by swap-delete.
-func (cx *CoverIndex) labelRemove(lab uint64, x int32) {
-	l := cx.byLabel[lab]
-	p := cx.posInLabel[x]
-	last := len(l) - 1
-	l[p] = l[last]
-	cx.posInLabel[l[p]] = p
-	l = l[:last]
-	if last == 0 {
-		delete(cx.byLabel, lab)
-	} else {
-		cx.byLabel[lab] = l
+// labelAdd appends tree edge x to lab's class, opening a slot for a label
+// no tree edge carried.
+func (cx *CoverIndex) labelAdd(lab uint64, x int32) {
+	s := cx.classOf(lab)
+	if s < 0 {
+		if k := len(cx.freeSlots); k > 0 {
+			s = cx.freeSlots[k-1]
+			cx.freeSlots = cx.freeSlots[:k-1]
+		} else {
+			s = int32(len(cx.classes))
+			cx.classes = append(cx.classes, labelClass{})
+		}
+		cx.slotOf[lab] = s
 	}
-	if last == 1 {
-		mp := cx.multiPos[lab]
-		lastLab := cx.multi[len(cx.multi)-1]
-		cx.multi[mp] = lastLab
-		cx.multiPos[lastLab] = mp
-		cx.multi = cx.multi[:len(cx.multi)-1]
-		delete(cx.multiPos, lab)
+	c := &cx.classes[s]
+	cx.classAt[x] = s
+	cx.posInClass[x] = int32(len(c.edges))
+	c.edges = append(c.edges, x)
+}
+
+// labelRemove removes tree edge x from its class (labeled lab) by
+// swap-delete, freeing the slot once the class is empty.
+func (cx *CoverIndex) labelRemove(lab uint64, x int32) {
+	s := cx.classAt[x]
+	c := &cx.classes[s]
+	p := cx.posInClass[x]
+	last := int32(len(c.edges) - 1)
+	c.edges[p] = c.edges[last]
+	cx.posInClass[c.edges[p]] = p
+	c.edges = c.edges[:last]
+	if last == 0 {
+		delete(cx.slotOf, lab)
+		cx.freeSlots = append(cx.freeSlots, s)
 	}
 }
 
@@ -213,91 +267,172 @@ func (cx *CoverIndex) fenPrefix(p int) int64 {
 	return s
 }
 
-// setW moves tree edge x's stored weight to val, updating the Fenwick tree
-// and dirtying the candidates covering x.
-func (cx *CoverIndex) setW(x int32, val int64) {
-	if cx.w[x] == val {
+// markDirty queues candidate ci for the next Refresh.
+func (cx *CoverIndex) markDirty(ci int32) {
+	if !cx.dirty[ci] {
+		cx.dirty[ci] = true
+		cx.dirtyList = append(cx.dirtyList, ci)
+	}
+}
+
+// pend queues tree edge x for a weight update at the next flush.
+func (cx *CoverIndex) pend(x int32) {
+	if !cx.pending[x] {
+		cx.pending[x] = true
+		cx.pendLst = append(cx.pendLst, x)
+	}
+}
+
+// nphiChanged implements labelHook: every tree edge carrying lab now
+// stores a stale weight, so queue its class (once per flush) for the next
+// Refresh. The flush reads a queued slot's members as they are then; a
+// tree edge that left the slot meanwhile was relabeled and is pending on
+// its own, so a slot freed and reused within one flush needs no requeue.
+func (cx *CoverIndex) nphiChanged(lab uint64, _ int) {
+	if s := cx.classOf(lab); s >= 0 && cx.classes[s].queued != cx.epoch {
+		cx.classes[s].queued = cx.epoch
+		cx.queued = append(cx.queued, s)
+	}
+}
+
+// treeRelabeled implements labelHook: move the edge between label classes,
+// queue its weight update, and shift the pair count of every live candidate
+// covering it by |new ∩ P| − |old∖x ∩ P| — or mark the candidate stale
+// once that work would exceed one rescan.
+func (cx *CoverIndex) treeRelabeled(t int, old, new uint64) {
+	if old == new { // a zero label was drawn: nothing moved
 		return
 	}
-	cx.fenAdd(cx.hp.Pos[x], val-cx.w[x])
-	cx.w[x] = val
-	cx.markEdge(x)
-}
-
-// markEdge dirties every live candidate whose path covers tree edge x.
-func (cx *CoverIndex) markEdge(x int32) {
-	for _, ci := range cx.adjList[cx.adjOff[x]:cx.adjOff[x+1]] {
-		if cx.active[ci] && !cx.dirty[ci] {
-			cx.dirty[ci] = true
-			cx.dirtyList = append(cx.dirtyList, ci)
+	x := cx.edgeChild[t]
+	cx.pend(x)
+	oldEdges := cx.classes[cx.classAt[x]].edges
+	var newEdges []int32
+	if s := cx.classOf(new); s >= 0 {
+		newEdges = cx.classes[s].edges
+	}
+	// x is on every covering path, so |old∖x ∩ P| = |old ∩ P| − 1.
+	if cost := len(oldEdges) - 1 + len(newEdges); cost > 0 {
+		for _, ci := range cx.adjList[cx.adjOff[x]:cx.adjOff[x+1]] {
+			if !cx.active[ci] || cx.stale[ci] {
+				continue
+			}
+			if cx.spent[ci]+cost > cx.pathLen[ci] {
+				cx.stale[ci] = true
+				cx.markDirty(ci)
+				continue
+			}
+			cx.spent[ci] += cost
+			u, v := int(cx.candU[ci]), int(cx.candV[ci])
+			if d := cx.countOnPath(newEdges, u, v) - cx.countOnPath(oldEdges, u, v) + 1; d != 0 {
+				cx.pairs[ci] += d
+				cx.markDirty(ci)
+			}
 		}
 	}
-}
-
-// nphiChanged implements labelHook: every tree edge carrying lab stores
-// n_lab, so each moves by delta.
-func (cx *CoverIndex) nphiChanged(lab uint64, delta int) {
-	for _, x := range cx.byLabel[lab] {
-		cx.setW(x, cx.w[x]+int64(delta))
-	}
-}
-
-// treeRelabeled implements labelHook: move the edge between label lists,
-// restore its weight to the (already-adjusted) count of its new label, and
-// dirty its candidates — a relabel can change the same-label pair term even
-// when the weight happens not to move.
-func (cx *CoverIndex) treeRelabeled(t int, old, new uint64) {
-	x := cx.edgeChild[t]
 	cx.labelRemove(old, x)
 	cx.labelAdd(new, x)
-	cx.setW(x, int64(cx.inc.nphi[new]))
-	cx.markEdge(x)
 }
 
 // reset implements labelHook: the engine recounted wholesale, so rebuild
-// the label state and dirty every live candidate.
+// the label state and mark every live candidate dirty and stale.
 func (cx *CoverIndex) reset() {
 	cx.rebuildLabels()
 	cx.dirtyList = cx.dirtyList[:0]
-	for i := range cx.active {
-		cx.dirty[i] = cx.active[i]
-		if cx.active[i] {
+	for i, live := range cx.active {
+		cx.dirty[i] = live
+		cx.stale[i] = live
+		if live {
 			cx.dirtyList = append(cx.dirtyList, int32(i))
 		}
 	}
 }
 
-// coverCount answers |S²_e| for e={u,v} by the decomposition above.
-func (cx *CoverIndex) coverCount(u, v int) int64 {
-	var sum int64
-	pathLen := 0
-	cx.hp.ForEachPathSegment(u, v, func(lo, hi int) {
-		sum += cx.fenPrefix(hi) - cx.fenPrefix(lo-1)
-		pathLen += hi - lo + 1
-	})
-	var pairs int64
-	for _, lab := range cx.multi {
-		k := int64(0)
-		for _, x := range cx.byLabel[lab] {
-			if cx.hp.OnPath(int(x), u, v) {
-				k++
+// flush applies the deferred weight updates: each tree edge that was
+// relabeled or whose label's n_φ moved gets its Fenwick weight set once,
+// dirtying its candidates if the weight changed.
+func (cx *CoverIndex) flush() {
+	for _, s := range cx.queued {
+		for _, x := range cx.classes[s].edges {
+			cx.pend(x)
+		}
+	}
+	cx.queued = cx.queued[:0]
+	cx.epoch++
+	tr := cx.inc.Tree
+	for _, x := range cx.pendLst {
+		cx.pending[x] = false
+		val := int64(cx.inc.nphi[cx.inc.phi[tr.ParentEdge[x]]])
+		if cx.w[x] == val {
+			continue
+		}
+		cx.fenAdd(cx.hp.Pos[x], val-cx.w[x])
+		cx.w[x] = val
+		for _, ci := range cx.adjList[cx.adjOff[x]:cx.adjOff[x+1]] {
+			if cx.active[ci] {
+				cx.markDirty(ci)
 			}
 		}
-		pairs += k * (k - 1) / 2
 	}
-	return sum - int64(pathLen) - 2*pairs
+	cx.pendLst = cx.pendLst[:0]
 }
 
-// Refresh recomputes the cover count of every dirty live candidate, calls
-// fn(i, ce) for each, and clears the dirty set. After Refresh, Ce(i) equals
-// Incremental.CoverCount for every live candidate.
+// countOnPath returns how many of the tree edges xs lie on the u–v path.
+func (cx *CoverIndex) countOnPath(xs []int32, u, v int) int64 {
+	var k int64
+	for _, x := range xs {
+		if cx.hp.OnPath(int(x), u, v) {
+			k++
+		}
+	}
+	return k
+}
+
+// scanPairs counts candidate ci's same-label path pairs from scratch: each
+// path edge pairs with the earlier path edges of its class.
+func (cx *CoverIndex) scanPairs(ci int32) int64 {
+	u, v := int(cx.candU[ci]), int(cx.candV[ci])
+	var pairs int64
+	cx.hp.ForEachPathSegment(u, v, func(lo, hi int) {
+		for p := lo; p <= hi; p++ {
+			s := cx.classAt[cx.hp.VertexAt(p)]
+			pairs += int64(cx.slotCount[s])
+			cx.slotCount[s]++
+		}
+	})
+	cx.hp.ForEachPathSegment(u, v, func(lo, hi int) {
+		for p := lo; p <= hi; p++ {
+			cx.slotCount[cx.classAt[cx.hp.VertexAt(p)]] = 0
+		}
+	})
+	return pairs
+}
+
+// coverCount answers |S²_e| for candidate ci by the decomposition above.
+func (cx *CoverIndex) coverCount(ci int32) int64 {
+	var sum int64
+	cx.hp.ForEachPathSegment(int(cx.candU[ci]), int(cx.candV[ci]), func(lo, hi int) {
+		sum += cx.fenPrefix(hi) - cx.fenPrefix(lo-1)
+	})
+	return sum - int64(cx.pathLen[ci]) - 2*cx.pairs[ci]
+}
+
+// Refresh applies the deferred weight updates, recomputes the cover count
+// of every dirty live candidate (rescanning the pair count of stale ones),
+// calls fn(i, ce) for each, and clears the dirty set. After Refresh, Ce(i)
+// equals Incremental.CoverCount for every live candidate.
 func (cx *CoverIndex) Refresh(fn func(i int, ce int64)) {
+	cx.flush()
 	for _, ci := range cx.dirtyList {
 		cx.dirty[ci] = false
 		if !cx.active[ci] {
 			continue
 		}
-		c := cx.coverCount(int(cx.candU[ci]), int(cx.candV[ci]))
+		if cx.stale[ci] {
+			cx.pairs[ci] = cx.scanPairs(ci)
+			cx.stale[ci] = false
+		}
+		cx.spent[ci] = 0
+		c := cx.coverCount(ci)
 		cx.ce[ci] = c
 		fn(int(ci), c)
 	}
