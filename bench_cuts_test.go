@@ -34,7 +34,7 @@ func BenchmarkMicro_EnumerateMinCuts(b *testing.B) {
 			g := graph.Harary(tc.size, tc.n, graph.UnitWeights())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cuts, err := core.EnumerateMinCuts(g, tc.size, rand.New(rand.NewSource(int64(i))))
+				cuts, err := core.EnumerateMinCuts(g, tc.size)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -78,7 +78,7 @@ func BenchmarkMicro_EdgeConnectivityUpTo(b *testing.B) {
 // BenchmarkMicro_SolveKECSSEndToEnd is the end-to-end solve bench for the
 // cut-enumeration-dominated workloads: k=3 (3-ECSS through the Aug
 // framework, size-2 cut enumeration) and k=4 (the first k whose Aug level
-// enumerates size-3 cuts by contraction).
+// enumerates size-3 cuts by max-flows).
 func BenchmarkMicro_SolveKECSSEndToEnd(b *testing.B) {
 	cases := []struct{ k, n int }{
 		{3, 96},

@@ -43,10 +43,13 @@ type ceilingList []ceiling
 func (c *ceilingList) String() string { return fmt.Sprint(*c) }
 
 func (c *ceilingList) Set(v string) error {
-	sub, maxStr, ok := strings.Cut(v, "=")
-	if !ok {
+	// The ceiling is the text after the last '=', so the substring may
+	// itself hold '=' (as in "EnumerateMinCuts/size=3/n=2000").
+	i := strings.LastIndex(v, "=")
+	if i < 0 {
 		return fmt.Errorf("want substring=ceiling, got %q", v)
 	}
+	sub, maxStr := v[:i], v[i+1:]
 	max, err := strconv.ParseFloat(maxStr, 64)
 	if err != nil {
 		return fmt.Errorf("bad ceiling in %q: %v", v, err)

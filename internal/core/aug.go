@@ -12,7 +12,7 @@ import (
 
 // AugOptions configures one Aug_k run (§4).
 type AugOptions struct {
-	// Rng drives the activation sampling and cut enumeration. Required.
+	// Rng drives the activation sampling. Required.
 	Rng *rand.Rand
 	// PhaseLen is the M in the paper's "every M·log n iterations we increase
 	// p by a factor of 2". 0 means 1 (the smallest constant; the analysis
@@ -63,39 +63,18 @@ func Aug(g *graph.Graph, h []int, k int, opts AugOptions) (*AugResult, error) {
 	}
 	hs, _ := g.SubgraphOf(h)
 	size := k - 1
-	var enumOpts CutEnumOptions
-	if opts.Phase != nil {
-		// Forward the solver observer into the enumeration so its ks-sweep /
-		// ks-materialise events appear inside this level's cut-enum span,
-		// tagged with the level they belong to.
-		inner := opts.Phase
-		enumOpts.Phase = func(ev PhaseEvent) {
-			ev.Level = k
-			inner(ev)
-		}
-	}
 	enumStart := opts.Phase.phaseStart()
-	var cuts []Cut
-	var err error
-	if size >= 3 {
-		// One capped max-flow pass (on the pooled Dinic scratch) decides
-		// whether H is already k-edge-connected; the enumerator is told the
-		// answer instead of re-verifying it with a cold check of its own.
-		switch lam := hs.EdgeConnectivityUpTo(size + 1); {
-		case lam > size:
-			cuts = nil // H is already k-edge-connected: nothing to cover
-		case lam < size:
-			return nil, fmt.Errorf("core: enumerating size-%d cuts: subgraph H has connectivity %d < %d", size, lam, size)
-		default:
-			enumOpts.KnownConnectivity = size
-			cuts, err = EnumerateMinCutsOpts(hs, size, opts.Rng, enumOpts)
-		}
-	} else {
-		// Sizes 1–2 use the exact enumerators, which need no λ pre-check.
-		cuts, err = EnumerateMinCutsOpts(hs, size, opts.Rng, enumOpts)
-	}
+	// The enumeration decides λ(H) itself: no cuts when H is already
+	// k-edge-connected, an error when λ(H) < k−1.
+	cuts, err := EnumerateMinCuts(hs, size)
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating size-%d cuts: %w", size, err)
+	}
+	if size >= 3 && len(cuts) > 0 {
+		// The randomized enumerator this level once used drew one Int63
+		// here; the exact one needs none, but drawing it keeps every later
+		// draw, and so every seeded output, unchanged.
+		opts.Rng.Int63()
 	}
 	opts.Phase.emit(PhaseEvent{Phase: "cut-enum", Level: k, Start: enumStart, Items: len(cuts)})
 	res := &AugResult{Cuts: len(cuts)}

@@ -7,42 +7,19 @@
 //
 // Every Aug_k level must cover every minimum cut of its current subgraph H
 // (Definition 2.1). EnumerateMinCuts produces them as canonical vertex
-// bipartitions: exact enumerators handle sizes 1 (bridges) and 2 (cut
-// pairs); size >= 3 runs recursive Karger–Stein contraction — contract to
-// floor(n/√2) supernodes (see ksTarget for why the analysis' ⌈1+n/√2⌉ is
-// deliberately rounded down), recurse twice on the shared prefix, and at
-// <= 6 supernodes enumerate every bipartition of the contracted graph
-// exactly. A fixed minimum cut survives one such trial with probability
-// Ω(1/log n), so Θ(log²n) trials enumerate all minimum cuts w.h.p., versus
-// the Θ(n²·log n) flat contractions of the enumerator it replaced (kept in
-// the package tests as the oracle).
+// bipartitions, exactly and deterministically: sizes 1 and 2 come from
+// bridges and cut pairs, and size >= 3 from graph.ForEachMinCut, which
+// runs one capped max-flow from {0..t−1} to each t and lists the closed
+// sets of each residual graph whose flow equals the size (Picard–Queyranne).
+// The flows also decide λ(H), so no separate connectivity check precedes
+// the enumeration. The cuts are sorted canonically, so the output depends
+// on the graph alone.
 //
-// # Determinism of the trials
-//
-// Trial t draws from a private RNG seeded baseSeed XOR t (baseSeed is one
-// Int63 from the caller's RNG), the trials run in order on the calling
-// goroutine, and the cuts found are sorted canonically — so the output
-// depends only on the graph and that one draw. Parallelism lives one level
-// up, across independent solves (kecss.Pool), not inside an enumeration.
-//
-// # Arena ownership
-//
-// All trial scratch (per-level union-find, relabelling and contracted edge
-// buffers, side-bitset buffers, the per-trial RNG and intern tables) lives
-// in a cutArena recycled through a package sync.Pool. An arena is owned by
-// exactly one goroutine at a time; materialised cut bitsets are carved
-// from blocks that the arena detaches on reset, so cuts returned to
-// callers keep sole ownership of their memory after the arena is recycled.
-// Warm trials allocate only when they discover a never-before-seen
-// bipartition.
-//
-// Cut identity is 64-bit FNV-1a hashed and resolved by intern tables that
-// compare the underlying data on hash collision — inside trials over the
-// sorted crossing-edge signature (O(λ) per probe; for a minimum cut the λ
-// crossing edges determine the bipartition), and in the size-2 exact
-// enumerator over the bipartition bitset. Aug's coverage
-// bookkeeping then works on dense cut indices (covered bitmaps, candidate
-// cut-index lists) — no string keys on any hot path.
+// Cut identity is 64-bit FNV-1a hashed and resolved by an intern table
+// that compares the bipartition bitset on hash collision (the size-2
+// enumerator dedups pairs that induce the same bipartition). Aug's
+// coverage bookkeeping then works on dense cut indices (covered bitmaps,
+// candidate cut-index lists) — no string keys on any hot path.
 //
 // # Output-sensitive candidate scans
 //

@@ -74,7 +74,7 @@ func TestEnumerateMinCutsBridges(t *testing.T) {
 	for i := 0; i+1 < 5; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	cuts, err := EnumerateMinCuts(g, 1, nil)
+	cuts, err := EnumerateMinCuts(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEnumerateMinCutsBridges(t *testing.T) {
 
 func TestEnumerateMinCutsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, size := range []int{1, 2, 3} {
+	for _, size := range []int{1, 2, 3, 4, 5} {
 		for trial := 0; trial < 6; trial++ {
 			var h *graph.Graph
 			switch size {
@@ -98,13 +98,13 @@ func TestEnumerateMinCutsAgainstBruteForce(t *testing.T) {
 				h.AddEdge(0, 3, 1)
 			case 2:
 				h = graph.RandomKConnected(8+trial, 2, trial%3, rng, graph.UnitWeights())
-			case 3:
-				h = graph.Harary(3, 8+trial, graph.UnitWeights())
+			default:
+				h = graph.Harary(size, 8+trial, graph.UnitWeights())
 			}
 			if h.EdgeConnectivity() != size {
 				continue // only minimum cuts are in scope
 			}
-			cuts, err := EnumerateMinCuts(h, size, rng)
+			cuts, err := EnumerateMinCuts(h, size)
 			if err != nil {
 				t.Fatalf("size %d trial %d: %v", size, trial, err)
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/graph"
@@ -94,7 +93,7 @@ func sortCuts(cuts []Cut) {
 // cutStore carves materialised cut bitsets out of large blocks (few
 // allocations, good locality). Ownership rule: reset detaches the blocks,
 // so cuts handed out before a reset keep sole ownership of their memory
-// even after the store's owner (an arena or interner) is recycled.
+// even after the store's owner (an interner or enumeration) is recycled.
 type cutStore struct {
 	words int
 	block []uint64
@@ -170,32 +169,14 @@ func (it *cutInterner) insert(h uint64, c Cut) Cut {
 	return c
 }
 
-// CutEnumOptions tunes EnumerateMinCutsOpts. The zero value is the default:
-// λ(h) verified by a capped max-flow pass, and no phase events.
-type CutEnumOptions struct {
-	// KnownConnectivity > 0 is the caller's promise that λ(h) equals this
-	// value, letting the enumerator skip its own capped max-flow
-	// verification (an Aug level has just computed the connectivity of the
-	// subgraph it augments). A cheap min-degree assertion still guards
-	// against contradictory promises.
-	KnownConnectivity int
-	// Phase, if set, receives "ks-sweep" and "ks-materialise" PhaseEvents
-	// from the size >= 3 contraction enumeration. Nil costs nothing.
-	Phase PhaseObserver
-}
-
 // EnumerateMinCuts returns every cut of size exactly `size` of the connected
-// graph h, where size must equal h's edge connectivity (the cuts the Aug_k
-// step must cover). It dispatches to exact enumerators for sizes 1 and 2
-// (bridges, cut pairs) and to recursive Karger–Stein contraction for
-// size >= 3. rng drives the contraction and is only used for size >= 3.
-func EnumerateMinCuts(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
-	return EnumerateMinCutsOpts(h, size, rng, CutEnumOptions{})
-}
-
-// EnumerateMinCutsOpts is EnumerateMinCuts with explicit enumeration
-// options (see CutEnumOptions).
-func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnumOptions) ([]Cut, error) {
+// graph h, sorted canonically, where size must equal h's edge connectivity
+// (the cuts the Aug_k step must cover). It returns no cuts when h is
+// already (size+1)-edge-connected and an error when its connectivity is
+// below size. Every size is enumerated exactly: bridges for size 1, cut
+// pairs for size 2, and the capped max-flow sweep of
+// graph.ForEachMinCut for size >= 3.
+func EnumerateMinCuts(h *graph.Graph, size int) ([]Cut, error) {
 	if !h.Connected() {
 		return nil, fmt.Errorf("core: cut enumeration needs a connected graph")
 	}
@@ -207,8 +188,27 @@ func EnumerateMinCutsOpts(h *graph.Graph, size int, rng *rand.Rand, opts CutEnum
 	case size == 2:
 		return cutsFromCutPairs(h)
 	default:
-		return cutsByContraction(h, size, rng, opts)
+		return cutsByFlows(h, size)
 	}
+}
+
+// cutsByFlows copies every cut graph.ForEachMinCut emits into block
+// storage. The emitted side excludes vertex 0, so it is already canonical.
+func cutsByFlows(h *graph.Graph, size int) ([]Cut, error) {
+	var store cutStore
+	store.reset(h.N())
+	var out []Cut
+	lam := h.ForEachMinCut(size, func(side []uint64) {
+		out = append(out, store.alloc(side))
+	})
+	switch {
+	case lam > size:
+		return nil, nil // no cuts of this size: already (size+1)-connected
+	case lam < size:
+		return nil, fmt.Errorf("core: graph has connectivity %d < requested cut size %d", lam, size)
+	}
+	sortCuts(out)
+	return out, nil
 }
 
 // componentsSkipping labels the connected components of h with up to two

@@ -72,10 +72,11 @@ func cutKeySet(cuts []Cut) map[string]bool {
 	return m
 }
 
-// TestEnumerateMinCutsEquivalenceCorpus asserts that the Karger–Stein
-// enumerator returns exactly the same cut sets (canonical bipartitions) as
-// the flat-Karger reference across all ten generator families at sizes
-// 3–5.
+// TestEnumerateMinCutsEquivalenceCorpus asserts that the flow enumerator
+// returns exactly the cut sets (canonical bipartitions) of the subset
+// brute force, and of the flat-Karger reference, across all ten generator
+// families at sizes 3–5. Every instance has n <= 16, so the brute force is
+// an exact oracle.
 func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 	for _, tc := range equivCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,32 +88,35 @@ func TestEnumerateMinCutsEquivalenceCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			got, err := EnumerateMinCuts(g, tc.lambda, rand.New(rand.NewSource(202)))
+			got, err := EnumerateMinCuts(g, tc.lambda)
 			if err != nil {
-				t.Fatalf("karger–stein: %v", err)
+				t.Fatalf("flows: %v", err)
 			}
 			refSet, gotSet := cutKeySet(ref), cutKeySet(got)
 			if len(ref) != len(refSet) || len(got) != len(gotSet) {
 				t.Fatalf("duplicate cuts: ref %d/%d, got %d/%d", len(ref), len(refSet), len(got), len(gotSet))
 			}
+			if exact := bruteForceMinCuts(g, tc.lambda); !reflect.DeepEqual(exact, gotSet) {
+				t.Fatalf("cut sets differ: brute force %d cuts, flows %d cuts", len(exact), len(gotSet))
+			}
 			if !reflect.DeepEqual(refSet, gotSet) {
-				t.Fatalf("cut sets differ: reference %d cuts, karger–stein %d cuts", len(refSet), len(gotSet))
+				t.Fatalf("cut sets differ: reference %d cuts, flows %d cuts", len(refSet), len(gotSet))
 			}
 		})
 	}
 }
 
 // TestEnumerateMinCutsConcurrentDeterministic: enumerations racing over
-// the shared arena pool (as concurrent pool sweeps do) must not interfere
-// with each other, and each must match a lone run with the same seed. Run
-// with -race.
+// the shared flow scratch pool (as concurrent pool sweeps do) must not
+// interfere with each other, and each must match a lone run. Run with
+// -race.
 func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 	g := graph.RandomKConnected(48, 4, 10, rand.New(rand.NewSource(5)), graph.UnitWeights())
 	size := g.EdgeConnectivity()
 	if size < 3 {
 		t.Fatalf("instance drift: λ=%d < 3", size)
 	}
-	want, err := EnumerateMinCuts(g, size, rand.New(rand.NewSource(9)))
+	want, err := EnumerateMinCuts(g, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +130,7 @@ func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = EnumerateMinCuts(g, size, rand.New(rand.NewSource(9)))
+			results[i], errs[i] = EnumerateMinCuts(g, size)
 		}(i)
 	}
 	wg.Wait()
@@ -140,35 +144,19 @@ func TestEnumerateMinCutsConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestEnumerateMinCutsKnownConnectivity pins the λ pass-in contract: a
-// correct promise reproduces the recomputed result, a too-high promise
-// means "no cuts of this size", a contradicted promise errors.
-func TestEnumerateMinCutsKnownConnectivity(t *testing.T) {
+// TestEnumerateMinCutsConnectivityFromFlows: the flows decide λ
+// themselves, so a size below λ reports no cuts and a size above λ errors.
+func TestEnumerateMinCutsConnectivityFromFlows(t *testing.T) {
 	g := graph.Harary(4, 14, graph.UnitWeights())
-	want, err := EnumerateMinCuts(g, 4, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EnumerateMinCutsOpts(g, 4, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("KnownConnectivity=λ changed the result")
-	}
-	none, err := EnumerateMinCutsOpts(g, 3, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 4})
+	none, err := EnumerateMinCuts(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if none != nil {
-		t.Fatalf("KnownConnectivity > size must report no cuts, got %d", len(none))
+		t.Fatalf("λ > size must report no cuts, got %d", len(none))
 	}
-	if _, err := EnumerateMinCutsOpts(g, 5, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 4}); err == nil {
-		t.Fatal("KnownConnectivity < size must error")
-	}
-	// A promise contradicted by the min degree is caught by the assertion.
-	if _, err := EnumerateMinCutsOpts(g, 5, rand.New(rand.NewSource(3)), CutEnumOptions{KnownConnectivity: 5}); err == nil {
-		t.Fatal("contradicted KnownConnectivity must error")
+	if _, err := EnumerateMinCuts(g, 5); err == nil {
+		t.Fatal("λ < size must error")
 	}
 }
 
@@ -232,14 +220,13 @@ func TestComponentsSkipping(t *testing.T) {
 }
 
 // TestEnumerateMinCutsTwoVertexMultigraph: the smallest size >= 3 instance
-// (two vertices, three parallel edges) exercises the base case without any
-// contraction.
+// (two vertices, three parallel edges) runs a single flow.
 func TestEnumerateMinCutsTwoVertexMultigraph(t *testing.T) {
 	g := graph.New(2)
 	for i := 0; i < 3; i++ {
 		g.AddEdge(0, 1, 1)
 	}
-	cuts, err := EnumerateMinCuts(g, 3, rand.New(rand.NewSource(1)))
+	cuts, err := EnumerateMinCuts(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +235,14 @@ func TestEnumerateMinCutsTwoVertexMultigraph(t *testing.T) {
 	}
 }
 
-func BenchmarkEquivalenceCorpusKargerStein(b *testing.B) {
-	// Convenience: per-corpus-case timing of the new enumerator.
+func BenchmarkEquivalenceCorpus(b *testing.B) {
+	// Convenience: per-corpus-case timing of the enumerator.
 	for _, tc := range equivCorpus() {
 		g := tc.build()
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := EnumerateMinCuts(g, tc.lambda, rand.New(rand.NewSource(int64(i)))); err != nil {
+				if _, err := EnumerateMinCuts(g, tc.lambda); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -284,139 +271,36 @@ func cutSliceDigest(cuts []Cut) uint64 {
 	return h
 }
 
-// TestEnumerateBaseMatchesRecount pins the gray-code leaf sweep against
-// the per-mask recount oracle on multigraph leaves of 2..ksBase
-// supernodes, on both the <= 64-edge bitmask path and the > 64-edge
-// multiplicity-matrix path. Half the leaves are random multigraphs, whose
-// minimum cuts are mostly single supernodes; the other half are rings of
-// parallel bundles, where every arc is a minimum cut. Each leaf sits one
-// contraction below a level of original vertices, so vertex 0's supernode
-// is not always supernode 0 and the materialised bipartitions go through
-// composeIDs. size is the leaf's edge connectivity, the only size the
-// enumerator is ever asked for.
-func TestEnumerateBaseMatchesRecount(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := new(cutArena)
-	for trial := 0; trial < 400; trial++ {
-		nodes := 2 + rng.Intn(ksBase-1)
-		matrix := trial%2 == 1
-		n := nodes + rng.Intn(10)
-		comp := make([]int32, n) // original vertex -> leaf supernode, onto
-		for v := range comp {
-			comp[v] = int32(v % nodes)
-			if v >= nodes {
-				comp[v] = int32(rng.Intn(nodes))
-			}
-		}
-		rng.Shuffle(n, func(i, j int) { comp[i], comp[j] = comp[j], comp[i] })
-		var edges []ksEdge
-		add := func(u, v int) {
-			edges = append(edges, ksEdge{u: int32(u), v: int32(v), id: int32(len(edges))})
-		}
-		if trial%4 >= 2 {
-			mult := 1 + rng.Intn(64/nodes)
-			if matrix {
-				mult = 64/nodes + 1 + rng.Intn(8)
-			}
-			for i := 0; i < nodes; i++ {
-				for j := 0; j < mult; j++ {
-					add(i, (i+1)%nodes)
-				}
-			}
-		} else {
-			m := nodes - 1 + rng.Intn(66-nodes)
-			if matrix {
-				m = 65 + rng.Intn(60)
-			}
-			for i := 0; i < m; i++ {
-				if i < nodes-1 {
-					add(i, i+1) // a path first keeps the leaf connected
-					continue
-				}
-				u, v := rng.Intn(nodes), rng.Intn(nodes)
-				for u == v {
-					v = rng.Intn(nodes)
-				}
-				add(u, v)
-			}
-		}
-		m := len(edges)
-		if (m > 64) != matrix {
-			t.Fatalf("trial %d: %d edges do not reach the intended leaf path", trial, m)
-		}
-		size := m
-		for mask := 1; mask < 1<<uint(nodes)-1; mask++ {
-			crossing := 0
-			for _, e := range edges {
-				if (mask>>uint(e.u))&1 != (mask>>uint(e.v))&1 {
-					crossing++
-				}
-			}
-			size = min(size, crossing)
-		}
-		run := func(leaf func(depth, size int)) ([]Cut, int64) {
-			a.prepare(n, 1, size)
-			a.levels[0].nodes = n
-			a.levels[0].comp = comp
-			leafLv := &a.levels[1]
-			leafLv.nodes, leafLv.v0, leafLv.edges = nodes, comp[0], edges
-			leaf(1, size)
-			out := append([]Cut(nil), a.fresh...)
-			sortCuts(out)
-			return out, a.steps
-		}
-		gray, graySteps := run(a.enumerateBase)
-		want, wantSteps := run(a.enumerateBaseRecount)
-		if len(want) == 0 {
-			t.Fatalf("trial %d: oracle found no cut of size λ=%d", trial, size)
-		}
-		if !reflect.DeepEqual(gray, want) || graySteps != wantSteps {
-			t.Fatalf("trial %d (nodes=%d m=%d λ=%d): sweep %d cuts / %d steps, recount %d cuts / %d steps",
-				trial, nodes, m, size, len(gray), graySteps, len(want), wantSteps)
+// TestEnumerateMinCutsDoubledCycleCount checks the exact count at scale.
+// The doubled cycle on n vertices has λ = 4, and its minimum cuts are
+// exactly the arcs {i..j} with 1 <= i <= j < n (two parallel bundles cut on
+// each side), so there are n(n−1)/2 of them. The digest of the enumerated
+// slice must equal the digest of those arcs in canonical order, and a second
+// run must reproduce it.
+func TestEnumerateMinCutsDoubledCycleCount(t *testing.T) {
+	const n = 512
+	g := multiplyEdges(graph.Cycle(n, graph.UnitWeights()), 2)
+	want := make([]Cut, 0, n*(n-1)/2)
+	for i := 1; i < n; i++ {
+		for j := i; j < n; j++ {
+			want = append(want, newCut(n, func(v int) bool { return v >= i && v <= j }))
 		}
 	}
-}
-
-// TestGrayCodeMatchesRecountLarge runs the capped trial loop on ring-like
-// instances at n=4096 — large enough that the contraction tree is ~19
-// levels deep and the sweep's incremental crossing counts, sibling-shared
-// leaf materialisation, and composed component maps all operate far
-// outside the small-n regime the corpus above covers. A capped run may miss
-// cuts, so it is checked by digest instead: the same seed must give the
-// same cut slice twice, and the slice pinned when the per-mask recount
-// still ran beside the sweep on these exact trajectories (leaf-level
-// equivalence is TestEnumerateBaseMatchesRecount). The doubled cycle is
-// cut-dense (a single capped trial materialises >10^6 bipartitions), so
-// runs are compared by order-sensitive digest and released one at a time
-// instead of held side by side.
-func TestGrayCodeMatchesRecountLarge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("n=4096 equivalence family; skipped in -short")
+	sortCuts(want)
+	wantDigest := cutSliceDigest(want)
+	want = nil
+	run := func() (int, uint64) {
+		cuts, err := EnumerateMinCuts(g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(cuts), cutSliceDigest(cuts)
 	}
-	u := graph.UnitWeights()
-	for _, tc := range []struct {
-		name       string
-		g          *graph.Graph
-		size       int
-		trials     int
-		wantCuts   int
-		wantDigest uint64
-	}{
-		{"harary-ring/k=3/n=4096", graph.Harary(3, 4096, u), 3, 2, 3108, 0xb3d297bce7c3852c},
-		{"cycle-x2/k=4/n=4096", multiplyEdges(graph.Cycle(4096, u), 2), 4, 1, 1110404, 0x751a1aea652e479e},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func() (int, uint64) {
-				cuts := contractionTrials(tc.g, tc.size, tc.trials, rand.New(rand.NewSource(77)), nil)
-				return len(cuts), cutSliceDigest(cuts)
-			}
-			n1, d1 := run()
-			if n1 != tc.wantCuts || d1 != tc.wantDigest {
-				t.Fatalf("capped run gave %d cuts / %#x, want %d / %#x", n1, d1, tc.wantCuts, tc.wantDigest)
-			}
-			if n2, d2 := run(); n2 != n1 || d2 != d1 {
-				t.Fatalf("same seed, different output: %d/%#x then %d/%#x", n1, d1, n2, d2)
-			}
-		})
+	n1, d1 := run()
+	if n1 != n*(n-1)/2 || d1 != wantDigest {
+		t.Fatalf("got %d cuts / %#x, want %d / %#x", n1, d1, n*(n-1)/2, wantDigest)
+	}
+	if n2, d2 := run(); n2 != n1 || d2 != d1 {
+		t.Fatalf("second run differs: %d/%#x then %d/%#x", n1, d1, n2, d2)
 	}
 }

@@ -1,9 +1,8 @@
 package core
 
 // Reference implementations the production enumerator is tested and
-// benchmarked against: the flat-Karger enumerator that Karger–Stein
-// replaced, the per-mask leaf recount that the gray-code sweep replaced,
-// and the string identity of a cut.
+// benchmarked against: an independent randomized enumerator (flat Karger
+// contraction) and the string identity of a cut.
 
 import (
 	"fmt"
@@ -29,10 +28,10 @@ func (c Cut) Key() string {
 	return string(b)
 }
 
-// enumerateMinCutsReference is the pre-Karger–Stein enumerator, kept as the
-// oracle for the equivalence corpus and for before/after benchmarking.
-// Semantics match EnumerateMinCuts; only the size >= 3 strategy differs:
-// 3n²·log n independent single-level contractions, each paying an O(m)
+// enumerateMinCutsReference is an independent randomized enumerator, kept
+// as an oracle for the equivalence corpus. Semantics match
+// EnumerateMinCuts; only the size >= 3 strategy differs: 3n²·log n
+// independent single-level Karger contractions, each paying an O(m)
 // permutation allocation, a fresh union-find, and a string-keyed dedup.
 func enumerateMinCutsReference(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, error) {
 	if !h.Connected() {
@@ -110,43 +109,10 @@ func cutsByFlatContraction(h *graph.Graph, size int, rng *rand.Rand) ([]Cut, err
 	return out, nil
 }
 
-// enumerateBaseRecount is the pre-gray-code base case: an ascending mask
-// scan recounting crossings from scratch per bipartition, kept as the
-// oracle enumerateBase is tested against. Its guards mirror
-// enumerateBase's.
-func (a *cutArena) enumerateBaseRecount(depth, size int) {
-	lv := &a.levels[depth]
-	if len(lv.edges) < size || lv.nodes < 2 {
-		return
-	}
-	if cap(a.sig) < size {
-		a.sig = make([]int32, size)
-	}
-	for mask := 1; mask < 1<<uint(lv.nodes); mask++ {
-		if mask&(1<<uint(lv.v0)) != 0 {
-			continue // canonical orientation: vertex 0's supernode stays out
-		}
-		a.steps++
-		crossing := 0
-		for i := range lv.edges {
-			e := &lv.edges[i]
-			if (mask>>uint(e.u))&1 != (mask>>uint(e.v))&1 {
-				crossing++
-				if crossing > size {
-					break
-				}
-			}
-		}
-		if crossing == size {
-			a.recordLeafCut(depth, mask, size)
-		}
-	}
-}
-
 // BenchmarkMicro_EnumerateMinCutsReference benches the flat-Karger oracle
 // on the smaller instances (it is Θ(n²·log n) trials, so larger sizes are
-// impractical) — the live "before" column for BenchmarkMicro_EnumerateMinCuts
-// in the root package. CI's bench-smoke step runs only the root package's
+// impractical), for comparison with BenchmarkMicro_EnumerateMinCuts in the
+// root package. CI's bench-smoke step runs only the root package's
 // benchmarks, so this never runs in CI.
 func BenchmarkMicro_EnumerateMinCutsReference(b *testing.B) {
 	cases := []struct{ size, n int }{

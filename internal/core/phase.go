@@ -16,9 +16,6 @@ import "time"
 //	                        rebalance (only when Rebalance triggers)
 //	Solve3ECSSWeighted:     validate, base, base-label, augment, correction,
 //	                        rebalance (only when Rebalance triggers)
-//	EnumerateMinCutsOpts:   ks-sweep, ks-materialise (size >= 3 only, via
-//	                        CutEnumOptions.Phase; nested inside cut-enum
-//	                        when Aug forwards its observer)
 //
 // Validate events fire only when the solver itself runs the connectivity
 // check; callers that pre-validate (kecss.Pool sweeps set SkipValidation)

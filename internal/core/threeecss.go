@@ -418,7 +418,7 @@ func correctTo3EC(g *graph.Graph, selected []bool, sel *[]int) (int, error) {
 // adds the smallest-ID edge of g crossing the first one. Returns the number
 // of edges added (always 1 on success).
 func coverOneCutPairExactly(g *graph.Graph, sub *graph.Graph, selected []bool, sel *[]int) (int, error) {
-	cuts, err := EnumerateMinCuts(sub, 2, nil)
+	cuts, err := EnumerateMinCuts(sub, 2)
 	if err != nil {
 		return 0, fmt.Errorf("core: enumerating remaining cut pairs: %w", err)
 	}

@@ -396,14 +396,13 @@ func (g *Graph) EdgeConnectivity() int {
 
 // EdgeConnectivityUpTo returns min(λ(g), c). For c <= 3 it is the exact
 // witness search of witnessConnectivityUpTo: O(n + m) plus a sort, no
-// max-flow. For c >= 4 it runs the capped max-flow sweep of
-// flowConnectivityUpTo. Both draw their scratch from package pools, so warm
-// calls — the kecss.Pool validation sweep, the solvers' validate and audit
-// checks, the cut enumerator's λ check — allocate nothing. For n <= 1 it
-// returns c.
+// max-flow. For c >= 4 it runs the capped max-flow sweep of ForEachMinCut
+// with no cut enumeration. Both draw their scratch from package pools, so
+// warm calls — the kecss.Pool validation sweep and the solvers' validate
+// and audit checks — allocate nothing. For n <= 1 it returns c.
 func (g *Graph) EdgeConnectivityUpTo(c int) int {
 	if c >= 4 {
-		return g.flowConnectivityUpTo(c)
+		return g.ForEachMinCut(c-1, nil)
 	}
 	if g.n <= 1 || c <= 0 {
 		return c
@@ -411,27 +410,34 @@ func (g *Graph) EdgeConnectivityUpTo(c int) int {
 	return g.witnessConnectivityUpTo(c)
 }
 
-// flowConnectivityUpTo returns min(λ(g), c) by unit-capacity max-flow: it
-// fixes s=0 and runs one flow to every other vertex, each capped at the
-// best value so far (λ = min over t≠s of maxflow(s,t) because any global
-// min cut separates s from some t). The Dinic scratch (arc arrays, levels,
-// iterators, BFS queue) is drawn from dinicPool and reloaded in place.
-func (g *Graph) flowConnectivityUpTo(c int) int {
+// ForEachMinCut returns min(λ(g), size+1) and, when λ(g) == size, calls
+// emit exactly once for every minimum cut of g, passing the cut's side
+// without vertex 0 as a bitset over the vertices (bit v%64 of word v/64).
+// The bitset is scratch that the next call overwrites: emit copies what it
+// keeps. When λ(g) < size the return value says so and the sets emitted
+// before the sweep found a smaller flow are not minimum cuts; callers
+// discard them. emit may be nil, which makes this a connectivity check.
+// For n <= 1 it returns size+1 and emits nothing.
+//
+// The enumeration is exact and deterministic. It runs n−1 unit-capacity
+// max-flows, one per sink t = 1..n−1 from the source set {0..t−1}, each
+// capped at size+1: every cut separates vertex 0 from a smallest vertex t
+// on its far side, so λ is the least of these flows. Where a flow equals
+// size, the minimum {0..t−1}–t cuts are exactly the sets closed under the
+// residual arcs that hold the sources and not t (Picard–Queyranne 1980),
+// and dinic.closedSets lists each one. A cut is emitted only at the t that
+// is the smallest vertex of its far side, so never twice. The cost is
+// O(n·size·m) for the flows plus O(n + m) per emitted cut. The scratch
+// comes from dinicPool, so a warm sweep allocates only what emit does.
+func (g *Graph) ForEachMinCut(size int, emit func(sinkSide []uint64)) int {
 	if g.n <= 1 {
-		return c
+		return size + 1
 	}
-	best := min(c, g.MinDegree())
 	d := dinicPool.Get().(*dinic)
 	d.reload(g)
-	// An unreachable t yields flow 0, so disconnected graphs report 0
-	// without a separate connectivity pre-pass.
-	for t := 1; t < g.n && best > 0; t++ {
-		if f := d.maxFlow(0, t, best); f < best {
-			best = f
-		}
-	}
+	lam := d.sweep(min(size+1, g.MinDegree()), size, emit)
 	dinicPool.Put(d)
-	return best
+	return lam
 }
 
 // IsKEdgeConnected reports whether g remains connected after removal of any
@@ -443,7 +449,7 @@ func (g *Graph) IsKEdgeConnected(k int) bool {
 // dinic is a unit-capacity max-flow structure over an undirected graph:
 // every undirected edge becomes a pair of directed arcs with capacity 1 each
 // (the standard reduction for edge connectivity). Instances are recycled
-// through dinicPool and reloaded per graph, so the seven scratch slices are
+// through dinicPool and reloaded per graph, so the scratch slices are
 // allocated once per pooled instance, not once per connectivity query.
 type dinic struct {
 	n     int
@@ -454,7 +460,20 @@ type dinic struct {
 	level []int
 	iter  []int
 	queue []int
+	// Closed-set enumeration scratch (closedSets): the side each vertex is
+	// decided on, the undo trail of decided vertices, and the sink side as
+	// the bitset handed to emit.
+	side     []int8
+	trail    []int
+	sinkSide []uint64
 }
+
+// Sides of a vertex during closed-set enumeration.
+const (
+	undecided int8 = iota
+	onSource
+	onSink
+)
 
 var dinicPool = sync.Pool{New: func() any { return new(dinic) }}
 
@@ -466,6 +485,8 @@ func (d *dinic) reload(g *Graph) {
 	d.head = grow(d.head, g.n)
 	d.level = grow(d.level, g.n)
 	d.iter = grow(d.iter, g.n)
+	d.side = grow(d.side, g.n)
+	d.sinkSide = grow(d.sinkSide, (g.n+63)/64)
 	d.next = grow(d.next, arcs)
 	d.to = grow(d.to, arcs)
 	d.cap = grow(d.cap, arcs)
@@ -495,6 +516,29 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// sweep runs the max-flow from {0..t−1} to t for t = 1..n−1 and returns
+// min(λ, best), where best <= size+1 is an upper bound on what the caller
+// needs to know. Each flow is capped at the least value seen so far, except
+// that while that value is size the cap stays size+1, so a flow of size is
+// known to be maximum; closedSets then enumerates its minimum cuts into
+// emit (when non-nil).
+//
+//kecss:alloc-free
+func (d *dinic) sweep(best, size int, emit func([]uint64)) int {
+	for t := 1; t < d.n && best > 0; t++ {
+		limit := best
+		if emit != nil && best == size {
+			limit = size + 1
+		}
+		f := d.maxFlow(t, limit)
+		best = min(best, f)
+		if emit != nil && f == size {
+			d.closedSets(t, emit)
+		}
+	}
+	return best
+}
+
 // reset restores all capacities to 1 (valid because the undirected reduction
 // starts every arc at capacity 1).
 //
@@ -507,13 +551,19 @@ func (d *dinic) reset() {
 	// for the undirected case both start at 1, so a flat reset is correct.
 }
 
+// bfs levels the residual graph from the sources 0..t−1 and reports
+// whether t is reachable.
+//
 //kecss:alloc-free
-func (d *dinic) bfs(s, t int) bool {
+func (d *dinic) bfs(t int) bool {
+	d.queue = d.queue[:0]
 	for v := 0; v < d.n; v++ {
 		d.level[v] = -1
+		if v < t {
+			d.level[v] = 0
+			d.queue = append(d.queue, v)
+		}
 	}
-	d.level[s] = 0
-	d.queue = append(d.queue[:0], s)
 	for qi := 0; qi < len(d.queue); qi++ {
 		v := d.queue[qi]
 		for a := d.head[v]; a != -1; a = d.next[a] {
@@ -543,19 +593,112 @@ func (d *dinic) dfs(v, t int) bool {
 	return false
 }
 
-// maxFlow computes the s→t max flow, stopping early once it reaches limit.
+// maxFlow computes the max flow from the sources 0..t−1 to t, stopping
+// early once it reaches limit. Sources all sit at level 0, so no augmenting
+// path passes through a second source and no super-source arcs are needed.
 //
 //kecss:alloc-free
-func (d *dinic) maxFlow(s, t, limit int) int {
+func (d *dinic) maxFlow(t, limit int) int {
 	d.reset()
 	flow := 0
-	for flow < limit && d.bfs(s, t) {
+	for flow < limit && d.bfs(t) {
 		copy(d.iter, d.head)
-		for flow < limit && d.dfs(s, t) {
-			flow++
+		for s := 0; s < t && flow < limit; s++ {
+			for flow < limit && d.dfs(s, t) {
+				flow++
+			}
 		}
 	}
 	return flow
+}
+
+// closedSets calls emit with the sink side of every set X closed under the
+// residual arcs with {0..t−1} ⊆ X and t ∉ X, after a maximum flow from
+// those sources to t. It starts from the residual closure of the sources
+// and the reverse closure of t, then branches on the first undecided vertex
+// v: v joins the source side with its closure, or the sink side with its
+// reverse closure. Neither branch can reach the other side (v would
+// otherwise already be decided), so every leaf is a distinct closed set and
+// the work is O(n + m) per emitted set.
+//
+//kecss:alloc-free
+func (d *dinic) closedSets(t int, emit func([]uint64)) {
+	clear(d.side)
+	clear(d.sinkSide)
+	d.trail = d.trail[:0]
+	for s := 0; s < t; s++ {
+		d.decide(s, onSource)
+	}
+	d.close(0, onSource)
+	top := len(d.trail)
+	d.decide(t, onSink)
+	d.close(top, onSink)
+	d.branch(t+1, emit)
+}
+
+// branch enumerates the closed sets that extend the current decisions,
+// with every vertex below v already decided.
+//
+//kecss:alloc-free
+func (d *dinic) branch(v int, emit func([]uint64)) {
+	for v < d.n && d.side[v] != undecided {
+		v++
+	}
+	if v == d.n {
+		emit(d.sinkSide)
+		return
+	}
+	for _, s := range [2]int8{onSource, onSink} {
+		top := len(d.trail)
+		d.decide(v, s)
+		d.close(top, s)
+		d.branch(v+1, emit)
+		d.undo(top)
+	}
+}
+
+// decide puts v on side s and records it on the trail.
+//
+//kecss:alloc-free
+func (d *dinic) decide(v int, s int8) {
+	d.side[v] = s
+	if s == onSink {
+		d.sinkSide[v/64] |= 1 << uint(v%64)
+	}
+	d.trail = append(d.trail, v)
+}
+
+// close extends the vertices decided since trail position top to their
+// closure: along residual arcs for the source side, against them for the
+// sink side.
+//
+//kecss:alloc-free
+func (d *dinic) close(top int, s int8) {
+	for i := top; i < len(d.trail); i++ {
+		u := d.trail[i]
+		for a := d.head[u]; a != -1; a = d.next[a] {
+			w := d.to[a]
+			if d.side[w] != undecided {
+				continue
+			}
+			// The source side follows u→w; the sink side follows w→u,
+			// which is arc a's reverse.
+			if (s == onSource && d.cap[a] > 0) || (s == onSink && d.cap[a^1] > 0) {
+				d.decide(w, s)
+			}
+		}
+	}
+}
+
+// undo reverts every decision made since trail position top.
+//
+//kecss:alloc-free
+func (d *dinic) undo(top int) {
+	for _, v := range d.trail[top:] {
+		d.side[v] = undecided
+		d.sinkSide[v/64] &^= 1 << uint(v%64)
+	}
+	d.trail = d.trail[:top]
 }
 
 // GlobalMinCutWeight returns the weight of a global minimum weight edge cut

@@ -782,7 +782,7 @@ func TestEdgeConnectivityWitnessMatchesFlow(t *testing.T) {
 	}
 	for i, g := range cases {
 		for c := 0; c <= 4; c++ {
-			if got, want := g.EdgeConnectivityUpTo(c), g.flowConnectivityUpTo(c); got != want {
+			if got, want := g.EdgeConnectivityUpTo(c), g.ForEachMinCut(c-1, nil); got != want {
 				t.Errorf("case %d (n=%d m=%d): EdgeConnectivityUpTo(%d) = %d, flow reference %d",
 					i, g.N(), g.M(), c, got, want)
 			}
