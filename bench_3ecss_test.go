@@ -125,8 +125,7 @@ func BenchmarkMicro_IncrementalLabelUpdate(b *testing.B) {
 	rebuilds := int64(0)
 	newEngine := func() *cycles.Incremental {
 		rebuilds++
-		inc, err := cycles.NewIncremental(g, base, 48, rand.New(rand.NewSource(rebuilds)),
-			labelArena, congest.WithArena(simArena))
+		inc, err := cycles.NewIncremental(g, base, 48, rand.New(rand.NewSource(rebuilds)), labelArena, simArena)
 		if err != nil {
 			b.Fatal(err)
 		}

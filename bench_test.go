@@ -74,7 +74,7 @@ func BenchmarkMicro_DistributedBFS(b *testing.B) {
 	g := graph.Grid(16, 64, graph.UnitWeights())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := primitives.BuildBFSTree(g, 0); err != nil {
+		if _, _, err := primitives.BuildBFSTree(congest.NewTopology(g), 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +90,9 @@ func BenchmarkMicro_DistributedBFS(b *testing.B) {
 //     and send bookkeeping with zero algorithmic work;
 //   - flood: a full BFS-style min-ID flood from scratch each iteration —
 //     the sparse-wavefront regime, measuring network construction plus rounds
-//     where most nodes send nothing.
+//     where most nodes send nothing. The plain rows build the topology and
+//     fresh buffers every iteration; the arena rows share one topology and
+//     one arena across iterations, as a multi-phase algorithm does.
 
 // saturatingProgram broadcasts every round and never finishes.
 type saturatingProgram struct{}
@@ -110,20 +112,29 @@ func benchSimulatorBroadcast(b *testing.B, n int) {
 	b.Helper()
 	b.ReportAllocs()
 	g := simBenchGraph(n)
-	net := congest.NewNetwork(g, func(int) congest.Program { return saturatingProgram{} })
+	net := congest.NewNetwork(congest.NewTopology(g), func(int) congest.Program { return saturatingProgram{} }, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Step()
 	}
 }
 
-func benchSimulatorFlood(b *testing.B, n int, opts ...congest.Option) {
+func benchSimulatorFlood(b *testing.B, n int, shared bool) {
 	b.Helper()
 	b.ReportAllocs()
 	g := simBenchGraph(n)
+	var topo *congest.Topology
+	var arena *congest.NetworkArena
+	if shared {
+		topo, arena = congest.NewTopology(g), congest.NewArena()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := primitives.ElectLeader(g, opts...); err != nil {
+		t := topo
+		if !shared {
+			t = congest.NewTopology(g)
+		}
+		if _, _, err := primitives.ElectLeader(t, arena); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,13 +143,28 @@ func benchSimulatorFlood(b *testing.B, n int, opts ...congest.Option) {
 func BenchmarkMicro_SimulatorRound(b *testing.B) {
 	b.Run("broadcast/n=1k", func(b *testing.B) { benchSimulatorBroadcast(b, 1000) })
 	b.Run("broadcast/n=4k", func(b *testing.B) { benchSimulatorBroadcast(b, 4000) })
-	b.Run("flood/n=1k", func(b *testing.B) { benchSimulatorFlood(b, 1000) })
-	b.Run("flood/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000) })
-	b.Run("flood-arena/n=1k", func(b *testing.B) {
-		benchSimulatorFlood(b, 1000, congest.WithArena(congest.NewArena()))
-	})
-	b.Run("flood-arena/n=4k", func(b *testing.B) {
-		benchSimulatorFlood(b, 4000, congest.WithArena(congest.NewArena()))
+	b.Run("flood/n=1k", func(b *testing.B) { benchSimulatorFlood(b, 1000, false) })
+	b.Run("flood/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, false) })
+	b.Run("flood-arena/n=1k", func(b *testing.B) { benchSimulatorFlood(b, 1000, true) })
+	b.Run("flood-arena/n=4k", func(b *testing.B) { benchSimulatorFlood(b, 4000, true) })
+}
+
+// BenchmarkMicro_DistributedBoruvka is the simulated MST of a sweep-mixed
+// 2-ECSS task: the weighted RandomKConnected(2000, 2, 4000) graph, solved
+// with one arena reused across iterations, as a pool worker does. Each
+// solve builds its topology once and runs four networks per Borůvka phase.
+func BenchmarkMicro_DistributedBoruvka(b *testing.B) {
+	b.Run("n=2000", func(b *testing.B) {
+		b.ReportAllocs()
+		rng := rand.New(rand.NewSource(7))
+		g := graph.RandomKConnected(2000, 2, 4000, rng, graph.RandomWeights(rng, 100))
+		arena := congest.NewArena()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := mst.DistributedBoruvkaArena(g, arena); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 
@@ -152,7 +178,7 @@ func BenchmarkMicro_CycleLabels(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cycles.ComputeLabels(g, tr, 48, rand.New(rand.NewSource(int64(i)))); err != nil {
+		if _, err := cycles.ComputeLabels(congest.NewTopology(g), tr, 48, rand.New(rand.NewSource(int64(i))), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

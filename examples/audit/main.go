@@ -22,11 +22,11 @@ func main() {
 	fmt.Printf("network: %d nodes, %d links, diameter≈%d\n", g.N(), g.M(), g.DiameterEstimate())
 
 	// Distributed audit.
-	rep2, err := verify.TwoEdgeConnectivity(g, 48, rng)
+	rep2, err := verify.TwoEdgeConnectivity(g, 48, rng, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep3, err := verify.ThreeEdgeConnectivity(g, 48, rng)
+	rep3, err := verify.ThreeEdgeConnectivity(g, 48, rng, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/congest"
 	"repro/internal/cycles"
 	"repro/internal/graph"
 	"repro/internal/tree"
@@ -19,7 +20,7 @@ func printLabels(g *graph.Graph, title string) *cycles.Labeling {
 	if err != nil {
 		log.Fatal(err)
 	}
-	l, err := cycles.ComputeLabels(g, tr, 16, rand.New(rand.NewSource(8)))
+	l, err := cycles.ComputeLabels(congest.NewTopology(g), tr, 16, rand.New(rand.NewSource(8)), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

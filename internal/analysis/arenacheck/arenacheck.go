@@ -81,8 +81,11 @@ var wellKnownArenas = map[string]map[string]bool{
 
 // wellKnownOwners are cross-package owner types: the //kecss:arena-owner
 // directive on a declaration is visible only to its own package's analysis,
-// so owners whose literals are built elsewhere (the core option bags, the
-// pool worker) are mirrored here.
+// so owners whose literals are built elsewhere are mirrored here. Each still
+// holds an arena: the pool worker owns a NetworkArena and a cycles.Arena,
+// and the core option bags carry the worker's NetworkArena (plus, for
+// 3-ECSS, its cycles.Arena). congest.Topology is deliberately absent from
+// both tables: it is read-only and shared, never loaned.
 var wellKnownOwners = map[string]map[string]bool{
 	"repro/internal/service": {"Worker": true},
 	"repro/internal/core": {

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -36,7 +37,7 @@ func (f *floodProgram) Round(ctx *Context, inbox []Message) bool {
 
 func TestFloodTerminatesInDiameterRounds(t *testing.T) {
 	g := graph.Cycle(10, graph.UnitWeights())
-	net := NewNetwork(g, func(int) Program { return &floodProgram{} })
+	net := NewNetwork(NewTopology(g), func(int) Program { return &floodProgram{} }, nil)
 	m, err := net.Run(100)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestFloodTerminatesInDiameterRounds(t *testing.T) {
 func TestRunErrorsWhenBudgetExhausted(t *testing.T) {
 	g := graph.Cycle(4, graph.UnitWeights())
 	// A program that never finishes.
-	net := NewNetwork(g, func(int) Program { return neverDone{} })
+	net := NewNetwork(NewTopology(g), func(int) Program { return neverDone{} }, nil)
 	if _, err := net.Run(5); err == nil {
 		t.Fatal("expected round-budget error")
 	}
@@ -74,7 +75,7 @@ func TestDoubleSendOnEdgePanics(t *testing.T) {
 			t.Fatal("expected panic on double send")
 		}
 	}()
-	NewNetwork(g, func(int) Program { return doubleSender{} })
+	NewNetwork(NewTopology(g), func(int) Program { return doubleSender{} }, nil)
 }
 
 type doubleSender struct{}
@@ -93,7 +94,7 @@ func TestSendOnNonIncidentEdgePanics(t *testing.T) {
 			t.Fatal("expected panic on non-incident edge")
 		}
 	}()
-	NewNetwork(g, func(v int) Program { return badEdgeSender{} })
+	NewNetwork(NewTopology(g), func(v int) Program { return badEdgeSender{} }, nil)
 }
 
 type badEdgeSender struct{}
@@ -108,7 +109,7 @@ func (badEdgeSender) Round(*Context, []Message) bool { return true }
 
 func TestMessageAccounting(t *testing.T) {
 	g := graph.Cycle(5, graph.UnitWeights())
-	net := NewNetwork(g, func(int) Program { return oneShot{} })
+	net := NewNetwork(NewTopology(g), func(int) Program { return oneShot{} }, nil)
 	m, err := net.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -131,9 +132,9 @@ func TestSendToNeighbor(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 1)
 	var got []Message
-	net := NewNetwork(g, func(v int) Program {
+	net := NewNetwork(NewTopology(g), func(v int) Program {
 		return &captor{target: 1 - v, out: &got, me: v}
-	})
+	}, nil)
 	if _, err := net.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +169,12 @@ func TestSendToParallelEdges(t *testing.T) {
 	e1 := g.AddEdge(0, 1, 1)
 	e2 := g.AddEdge(0, 1, 1)
 	var got []Message
-	net := NewNetwork(g, func(v int) Program {
+	net := NewNetwork(NewTopology(g), func(v int) Program {
 		if v == 0 {
 			return &tripleSender{}
 		}
 		return &captor{target: 0, out: &got, me: v}
-	})
+	}, nil)
 	if _, err := net.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +209,12 @@ func TestArenaReuse(t *testing.T) {
 	}
 	for rep := 0; rep < 3; rep++ {
 		for gi, g := range graphs {
-			fresh := NewNetwork(g, func(int) Program { return &floodProgram{} })
+			fresh := NewNetwork(NewTopology(g), func(int) Program { return &floodProgram{} }, nil)
 			wantM, err := fresh.Run(100)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reused := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithArena(arena))
+			reused := NewNetwork(NewTopology(g), func(int) Program { return &floodProgram{} }, arena)
 			gotM, err := reused.Run(100)
 			if err != nil {
 				t.Fatalf("rep %d graph %d: %v", rep, gi, err)
@@ -239,7 +240,7 @@ func TestArenaStampResetClearsFullBacking(t *testing.T) {
 	big := graph.Cycle(64, graph.UnitWeights())
 	small := graph.Cycle(8, graph.UnitWeights())
 	run := func(a *NetworkArena, g *graph.Graph, p func() Program) Metrics {
-		net := NewNetwork(g, func(int) Program { return p() }, WithArena(a))
+		net := NewNetwork(NewTopology(g), func(int) Program { return p() }, a)
 		m, err := net.Run(200)
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +292,7 @@ func (d *delayedBroadcaster) Round(ctx *Context, _ []Message) bool {
 // than corrupt a successor network.
 func TestArenaStepAfterRunPanics(t *testing.T) {
 	g := graph.Cycle(4, graph.UnitWeights())
-	net := NewNetwork(g, func(int) Program { return oneShot{} }, WithArena(NewArena()))
+	net := NewNetwork(NewTopology(g), func(int) Program { return oneShot{} }, NewArena())
 	if _, err := net.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +309,8 @@ func TestArenaStepAfterRunPanics(t *testing.T) {
 func TestArenaNestedFallsBack(t *testing.T) {
 	g := graph.Cycle(8, graph.UnitWeights())
 	arena := NewArena()
-	outer := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithArena(arena))
-	inner := NewNetwork(g, func(int) Program { return &floodProgram{} }, WithArena(arena))
+	outer := NewNetwork(NewTopology(g), func(int) Program { return &floodProgram{} }, arena)
+	inner := NewNetwork(NewTopology(g), func(int) Program { return &floodProgram{} }, arena)
 	im, err := inner.Run(100)
 	if err != nil {
 		t.Fatal(err)
@@ -321,4 +322,188 @@ func TestArenaNestedFallsBack(t *testing.T) {
 	if im != om {
 		t.Errorf("inner metrics %+v differ from outer %+v", im, om)
 	}
+}
+
+// TestSharedTopologyMatchesOwnTopology runs two different programs over one
+// shared Topology and over a topology each, and checks that sharing changes
+// neither the metrics nor any node's final state. The multigraph makes
+// SendTo walk parallel edges through the shared sorted port lists.
+func TestSharedTopologyMatchesOwnTopology(t *testing.T) {
+	g := graph.Grid(4, 6, graph.UnitWeights())
+	for _, e := range []int{0, 5, 9, 17} {
+		ed := g.Edge(e)
+		g.AddEdge(ed.V, ed.U, 2) // parallel edges, endpoints reversed
+	}
+	programs := []func(int) Program{
+		func(int) Program { return &floodProgram{} },
+		func(int) Program { return &echoProgram{} },
+	}
+	type outcome struct {
+		m     Metrics
+		state []string
+	}
+	run := func(topo *Topology, f func(int) Program) outcome {
+		net := NewNetwork(topo, f, nil)
+		m, err := net.Run(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{m: m}
+		for v := 0; v < g.N(); v++ {
+			out.state = append(out.state, fmt.Sprintf("%+v", net.Program(v)))
+		}
+		return out
+	}
+	shared := NewTopology(g)
+	for i, f := range programs {
+		got, want := run(shared, f), run(NewTopology(g), f)
+		if got.m != want.m {
+			t.Errorf("program %d: shared-topology metrics %+v, want %+v", i, got.m, want.m)
+		}
+		for v := range want.state {
+			if got.state[v] != want.state[v] {
+				t.Errorf("program %d vertex %d: shared-topology state %s, want %s", i, v, got.state[v], want.state[v])
+			}
+		}
+	}
+}
+
+// echoProgram sends one message to each entry of its neighbour list (so a
+// neighbour reached by k parallel edges gets k messages, via SendTo) and
+// records the (sender, edge) sequence it receives.
+type echoProgram struct{ heard []int }
+
+func (p *echoProgram) Init(ctx *Context) {
+	for _, nb := range ctx.Neighbors() {
+		ctx.SendTo(nb.ID, Payload{Kind: 5, A: int64(ctx.Node())})
+	}
+}
+
+func (p *echoProgram) Round(_ *Context, inbox []Message) bool {
+	for _, m := range inbox {
+		p.heard = append(p.heard, m.From, m.Edge)
+	}
+	return true
+}
+
+// TestNewNetworkPanicsOnStaleTopology checks that a topology built before
+// the graph gained an edge is refused rather than silently missing it.
+func TestNewNetworkPanicsOnStaleTopology(t *testing.T) {
+	g := graph.Cycle(5, graph.UnitWeights())
+	topo := NewTopology(g)
+	g.AddEdge(0, 2, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a topology older than its graph")
+		}
+	}()
+	NewNetwork(topo, func(int) Program { return oneShot{} }, nil)
+}
+
+// TestSendToParallelEdgesUnsortedNeighbors checks the SendTo tie-break when
+// a node's adjacency order is not its neighbour-ID order: vertex 0's ports
+// lead to 2, 1, 2, 1, 2, and the edges are added with 0 as U for some and V
+// for others. Repeated sends to one neighbour must still take its unused
+// parallel edges in ascending edge-ID order, from both ends.
+func TestSendToParallelEdgesUnsortedNeighbors(t *testing.T) {
+	g := graph.New(3)
+	e0 := g.AddEdge(0, 2, 1)
+	e1 := g.AddEdge(1, 0, 1)
+	e2 := g.AddEdge(2, 0, 1)
+	e3 := g.AddEdge(0, 1, 1)
+	e4 := g.AddEdge(0, 2, 1)
+	var heard [3][]Message
+	net := NewNetwork(NewTopology(g), func(v int) Program {
+		return &sendToScript{out: &heard[v], sends: map[int][]int{0: {2, 1, 2, 2, 1}, 2: {0, 0, 0}}[v]}
+	}, nil)
+	if _, err := net.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	edges := func(ms []Message, from int) []int {
+		var out []int
+		for _, m := range ms {
+			if m.From == from {
+				out = append(out, m.Edge)
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		to, from int
+		want     []int
+	}{
+		{2, 0, []int{e0, e2, e4}},
+		{1, 0, []int{e1, e3}},
+		{0, 2, []int{e0, e2, e4}},
+	} {
+		if got := edges(heard[c.to], c.from); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%d→%d travelled edges %v, want %v (ascending edge IDs)", c.from, c.to, got, c.want)
+		}
+	}
+}
+
+// sendToScript calls SendTo once per entry of sends in Init and records
+// every message it receives.
+type sendToScript struct {
+	sends []int
+	out   *[]Message
+}
+
+func (s *sendToScript) Init(ctx *Context) {
+	for i, to := range s.sends {
+		ctx.SendTo(to, Payload{Kind: 6, A: int64(i)})
+	}
+}
+
+func (s *sendToScript) Round(_ *Context, inbox []Message) bool {
+	*s.out = append(*s.out, inbox...)
+	return true
+}
+
+// TestDoneRoundWithDeliveryDoesNotQuiesce covers the in-flight check: in
+// round 1 every node reports done, but vertex 0 sends a message that round,
+// so the network must not quiesce until the message has been received. The
+// inbox it lands in must be empty again the round after.
+func TestDoneRoundWithDeliveryDoesNotQuiesce(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	var inboxLens []int
+	net := NewNetwork(NewTopology(g), func(v int) Program {
+		return &lateSender{me: v, lens: &inboxLens}
+	}, nil)
+	if net.Step() {
+		t.Fatal("round 1 quiesced with a message in flight")
+	}
+	if !net.Step() {
+		t.Fatal("round 2 did not quiesce after the message was received")
+	}
+	net.Step()
+	if want := []int{0, 1, 0}; fmt.Sprint(inboxLens) != fmt.Sprint(want) {
+		t.Errorf("vertex 1 inbox sizes per round %v, want %v", inboxLens, want)
+	}
+	if m := net.Metrics(); m.Messages != 1 {
+		t.Errorf("messages = %d, want 1", m.Messages)
+	}
+}
+
+// lateSender: vertex 0 sends one message to vertex 1 in round 1; vertex 1
+// records its inbox size each round; every node always reports done.
+type lateSender struct {
+	me    int
+	round int
+	lens  *[]int
+}
+
+func (p *lateSender) Init(*Context) {}
+
+func (p *lateSender) Round(ctx *Context, inbox []Message) bool {
+	p.round++
+	if p.me == 0 && p.round == 1 {
+		ctx.SendTo(1, Payload{Kind: 8})
+	}
+	if p.me == 1 {
+		*p.lens = append(*p.lens, len(inbox))
+	}
+	return true
 }

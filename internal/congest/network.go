@@ -17,34 +17,23 @@ type Metrics struct {
 // Network is one instantiation of the CONGEST model over a communication
 // graph, with one Program per vertex. See the package documentation for the
 // buffer layout. A Network is the borrower of its arena: it marks the arena
-// busy in attachBuffers and returns the buffers in Release, so its lifetime
+// busy in attachBuffers and returns the buffers in release, so its lifetime
 // is exactly one loan.
 //
 //kecss:arena-owner
 type Network struct {
-	g        *graph.Graph
+	topo     *Topology
 	programs []Program
 	ctxs     []Context
-	done     []bool
-	inboxes  [][]Message // per-node views into inboxArena, reset each round
+	inboxes  [][]Message // per-node views into inboxArena
 
-	// Flat buffers, carved per node by portStart. All are either freshly
-	// allocated or borrowed from a NetworkArena.
-	slots      []Message  // 2m message slots, indexed 2*edge + direction
-	inboxArena []Message  // 2m inbox backing, partitioned by receiver degree
-	neighbors  []Neighbor // 2m, partitioned by node
-	sentStamp  []uint32   // 2m per-port round stamps
-	outBack    []int32    // 2m out-slot backing, partitioned by node
-	slotOf     []int32    // 2m per-port slot IDs
-	nextSame   []int32    // 2m per-port same-neighbour chain
-	portStart  []int32    // n+1 prefix sums of degree
-	portAtU    []int32    // m: port of edge e in e.U's adjacency
-	portAtV    []int32    // m: port of edge e in e.V's adjacency
-
-	// nbrPort maps nbrKey(v, u) to the lowest port of v leading to u;
-	// further parallel ports are chained through nextSame. One map for the
-	// whole network keeps construction at O(1) allocations.
-	nbrPort map[int64]int32
+	// Per-run flat buffers, carved per node by the topology's portStart.
+	// All are either freshly allocated or borrowed from a NetworkArena.
+	slots      []Message // 2m message slots, indexed 2*edge + direction
+	inboxArena []Message // 2m inbox backing, partitioned by receiver degree
+	sentStamp  []uint32  // 2m per-port round stamps
+	outBack    []int32   // 2m out-slot backing, partitioned by node
+	senders    []int32   // nodes that sent this round, ascending
 
 	stamp    uint32 // current round stamp (strictly increasing)
 	metrics  Metrics
@@ -52,155 +41,81 @@ type Network struct {
 	released bool          // arena buffers returned; stepping is an error
 }
 
-// config collects option state before buffers are allocated; it exists only
-// inside NewNetwork, before the arena loan is even taken.
-//
-//kecss:arena-owner
-type config struct {
-	arena *NetworkArena
-}
-
-// Option configures a Network.
-type Option func(*config)
-
-// WithArena makes the network borrow its buffers from a, avoiding
-// re-allocation across repeated NewNetwork calls. See NetworkArena for the
-// ownership rules. A nil a leaves the network on fresh buffers.
-func WithArena(a *NetworkArena) Option {
-	return func(c *config) { c.arena = a }
-}
-
-// NewNetwork builds a network over g where vertex v runs factory(v).
-// Init is called for every node (messages sent there arrive in round 1).
-func NewNetwork(g *graph.Graph, factory Factory, opts ...Option) *Network {
-	var cfg config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// NewNetwork builds a network over t's graph where vertex v runs
+// factory(v). a supplies the per-run buffers (see NetworkArena); nil means
+// fresh buffers. Init is called for every node (messages sent there arrive
+// in round 1). It panics if the graph has gained edges since t was built.
+func NewNetwork(t *Topology, factory Factory, a *NetworkArena) *Network {
+	t.checkCurrent()
+	nv := t.g.N()
 	n := &Network{
-		g: g,
+		topo: t,
 		// programs is the one per-network allocation kept off the arena:
 		// callers read final program state via Program(v) after Run has
 		// returned the buffers, so it must not be recycled under them.
-		programs: make([]Program, g.N()),
+		programs: make([]Program, nv),
 	}
-	n.attachBuffers(cfg.arena)
-	n.buildTopology()
-	for v := 0; v < g.N(); v++ {
+	n.attachBuffers(a)
+	for v := 0; v < nv; v++ {
+		lo, hi := t.portStart[v], t.portStart[v+1]
+		n.ctxs[v] = Context{
+			node:      v,
+			n:         nv,
+			net:       n,
+			neighbors: t.neighbors[lo:hi:hi],
+			sentStamp: n.sentStamp[lo:hi:hi],
+			outSlots:  n.outBack[lo:lo:hi],
+			slotOf:    t.slotOf[lo:hi:hi],
+			byNbr:     t.byNbr[lo:hi:hi],
+		}
+		n.inboxes[v] = n.inboxArena[lo:lo:hi]
+	}
+	for v := 0; v < nv; v++ {
 		n.programs[v] = factory(v)
 	}
 	// Init phase: all nodes, sequentially (Init does setup only).
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < nv; v++ {
 		n.programs[v].Init(&n.ctxs[v])
 	}
 	n.deliver()
 	return n
 }
 
-// attachBuffers points the network's flat buffers at freshly allocated or
-// arena-recycled memory and fixes the starting round stamp.
+// attachBuffers points the network's per-run buffers at freshly allocated
+// or arena-recycled memory and fixes the starting round stamp.
 func (n *Network) attachBuffers(a *NetworkArena) {
-	nv, m := n.g.N(), n.g.M()
-	p2 := 2 * m
+	nv, p2 := n.topo.g.N(), 2*n.topo.m
 	if a != nil && !a.busy {
 		a.busy = true
 		n.arena = a
-		n.stamp = a.acquire(nv, p2, m)
+		n.stamp = a.acquire(nv, p2)
 		n.slots, n.inboxArena = a.slots, a.inboxArena
-		n.neighbors, n.sentStamp = a.neighbors, a.sentStamp
-		n.outBack, n.slotOf, n.nextSame = a.outBack, a.slotOf, a.nextSame
-		n.portStart, n.portAtU, n.portAtV = a.portStart, a.portAtU, a.portAtV
-		n.ctxs, n.done, n.inboxes = a.ctxs, a.done, a.inboxes
-		if a.nbrPort == nil {
-			a.nbrPort = make(map[int64]int32, p2)
-		} else {
-			clear(a.nbrPort)
-		}
-		n.nbrPort = a.nbrPort
+		n.sentStamp, n.outBack = a.sentStamp, a.outBack
+		n.senders = a.senders[:0]
+		n.ctxs, n.inboxes = a.ctxs, a.inboxes
 		return
 	}
 	n.stamp = 1
-	n.slots = make([]Message, p2)
-	n.inboxArena = make([]Message, p2)
-	n.neighbors = make([]Neighbor, p2)
+	msgs := make([]Message, 2*p2)
+	n.slots, n.inboxArena = msgs[:p2:p2], msgs[p2:]
 	n.sentStamp = make([]uint32, p2)
-	i32 := make([]int32, 3*p2+2*m)
-	n.outBack, n.slotOf, n.nextSame = i32[:p2:p2], i32[p2:2*p2:2*p2], i32[2*p2:3*p2:3*p2]
-	n.portAtU, n.portAtV = i32[3*p2:3*p2+m:3*p2+m], i32[3*p2+m:]
-	n.portStart = make([]int32, nv+1)
+	i32 := make([]int32, p2+nv)
+	n.outBack, n.senders = i32[:p2:p2], i32[p2:p2]
 	n.ctxs = make([]Context, nv)
-	n.done = make([]bool, nv)
 	n.inboxes = make([][]Message, nv)
-	n.nbrPort = make(map[int64]int32, p2)
-}
-
-// buildTopology fills the port index and per-node context views from the
-// graph: one pass over all adjacency lists, O(n + m).
-func (n *Network) buildTopology() {
-	g := n.g
-	nv := g.N()
-	n.portStart[0] = 0
-	for v := 0; v < nv; v++ {
-		n.portStart[v+1] = n.portStart[v] + int32(g.Degree(v))
-	}
-	for v := 0; v < nv; v++ {
-		lo, hi := n.portStart[v], n.portStart[v+1]
-		nbrs := n.neighbors[lo:hi:hi]
-		slotOf := n.slotOf[lo:hi:hi]
-		for i, a := range g.Adj(v) {
-			e := g.Edge(a.Edge)
-			nbrs[i] = Neighbor{ID: a.To, Edge: a.Edge, Weight: e.W}
-			slot := int32(2 * a.Edge)
-			if v == e.U {
-				n.portAtU[a.Edge] = int32(i)
-			} else {
-				n.portAtV[a.Edge] = int32(i)
-				slot++
-			}
-			slotOf[i] = slot
-		}
-		// Per-neighbour port chains: nbrPort[nbrKey(v, id)] is the lowest
-		// port of v leading to id, nextSame links ports of the same
-		// neighbour in ascending order (adjacency order is edge-insertion
-		// order, so ascending port means ascending edge ID — the SendTo
-		// tie-break).
-		nextSame := n.nextSame[lo:hi:hi]
-		for i := len(nbrs) - 1; i >= 0; i-- {
-			key := nbrKey(v, nbrs[i].ID)
-			if j, ok := n.nbrPort[key]; ok {
-				nextSame[i] = j
-			} else {
-				nextSame[i] = -1
-			}
-			n.nbrPort[key] = int32(i)
-		}
-		n.ctxs[v] = Context{
-			node:      v,
-			n:         nv,
-			net:       n,
-			neighbors: nbrs,
-			sentStamp: n.sentStamp[lo:hi:hi],
-			outSlots:  n.outBack[lo:lo:hi],
-			slotOf:    slotOf,
-			nextSame:  nextSame,
-		}
-		n.inboxes[v] = n.inboxArena[lo:lo:hi]
-		n.done[v] = false
-	}
 }
 
 // deliver moves every slot written this round into its destination inbox, in
 // sender-ID then send order (the order a sequential scan of per-node out
 // queues would produce), and advances the round stamp, which clears all
-// per-port send state in O(1).
+// per-port send state in O(1). It walks only the sender list, so it costs
+// O(messages), and returns the number of messages delivered. Every inbox is
+// empty on entry: Step resets each one after its node's Round.
 //
 //kecss:alloc-free
-func (n *Network) deliver() {
-	for v := range n.inboxes {
-		n.inboxes[v] = n.inboxes[v][:0]
-	}
+func (n *Network) deliver() int64 {
 	var delivered int64
-	for v := range n.ctxs {
+	for _, v := range n.senders {
 		ctx := &n.ctxs[v]
 		for _, s := range ctx.outSlots {
 			m := &n.slots[s]
@@ -209,6 +124,7 @@ func (n *Network) deliver() {
 		delivered += int64(len(ctx.outSlots))
 		ctx.outSlots = ctx.outSlots[:0]
 	}
+	n.senders = n.senders[:0]
 	n.metrics.Messages += delivered
 	n.metrics.Bits += delivered * int64(Payload{}.Bits())
 	n.stamp++
@@ -219,6 +135,7 @@ func (n *Network) deliver() {
 		clear(n.sentStamp[:cap(n.sentStamp)])
 		n.stamp = 1
 	}
+	return delivered
 }
 
 // Step executes one synchronous round. It returns true if the network has
@@ -230,25 +147,19 @@ func (n *Network) Step() bool {
 		panic("congest: Step on a network whose arena buffers were released (Run already finished)")
 	}
 	n.metrics.Rounds++
-	for v, p := range n.programs {
-		n.done[v] = p.Round(&n.ctxs[v], n.inboxes[v])
-	}
-	n.deliver()
 	allDone := true
-	for v := range n.done {
-		if !n.done[v] {
+	for v, p := range n.programs {
+		in := n.inboxes[v]
+		if !p.Round(&n.ctxs[v], in) {
 			allDone = false
-			break
+		}
+		// The node has consumed its inbox; empty the view for deliver. (The
+		// backing stays intact until deliver overwrites it.)
+		if len(in) > 0 {
+			n.inboxes[v] = in[:0]
 		}
 	}
-	inFlight := false
-	for v := range n.inboxes {
-		if len(n.inboxes[v]) > 0 {
-			inFlight = true
-			break
-		}
-	}
-	return allDone && !inFlight
+	return n.deliver() == 0 && allDone
 }
 
 // Run executes rounds until quiescence or maxRounds, returning the metrics.
@@ -256,9 +167,9 @@ func (n *Network) Step() bool {
 // repository always indicates a non-terminating algorithm bug or an
 // insufficient budget, never a legitimate outcome.
 //
-// When the network was built with WithArena, Run returns the borrowed
-// buffers to the arena before returning: final program state (Program),
-// Metrics and Graph remain readable, but further Step calls panic.
+// When the network borrowed an arena's buffers, Run returns them before
+// returning: final program state (Program), Metrics and Graph remain
+// readable, but further Step calls panic.
 func (n *Network) Run(maxRounds int) (Metrics, error) {
 	defer n.release()
 	for r := 0; r < maxRounds; r++ {
@@ -291,4 +202,4 @@ func (n *Network) Metrics() Metrics { return n.metrics }
 func (n *Network) Program(v int) Program { return n.programs[v] }
 
 // Graph returns the underlying communication graph.
-func (n *Network) Graph() *graph.Graph { return n.g }
+func (n *Network) Graph() *graph.Graph { return n.topo.g }

@@ -85,7 +85,7 @@ func SolveKECSS(g *graph.Graph, k int, opts KECSSOptions) (*KECSSResult, error) 
 	t0 := opts.Phase.phaseStart()
 	var mstMessages int64
 	if opts.SimulateMST {
-		mres, err := mst.DistributedBoruvka(g, congest.WithArena(opts.Arena))
+		mres, err := mst.DistributedBoruvkaArena(g, opts.Arena)
 		if err != nil {
 			return nil, fmt.Errorf("core: distributed MST: %w", err)
 		}

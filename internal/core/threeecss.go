@@ -185,15 +185,12 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 	maxIters := iterationCap(logn)
 	// The label scans run short-lived networks over g — the base scan, plus
 	// one per Rebalance rebuild — the arena's best case.
-	simOpts := congest.WithDefaultArena(nil)
-	if opts.Arena != nil {
-		simOpts = append(simOpts, congest.WithArena(opts.Arena))
-	}
+	simArena := congest.ArenaOrNew(opts.Arena)
 	d := int64(g.DiameterEstimate())
 	res := &ThreeECSSResult{BaseSize: len(h)}
 
 	t0 := opts.Phase.phaseStart()
-	eng, err := cycles.NewIncremental(g, h, bits, opts.Rng, opts.LabelArena, simOpts...)
+	eng, err := cycles.NewIncremental(g, h, bits, opts.Rng, opts.LabelArena, simArena)
 	if err != nil {
 		return nil, fmt.Errorf("core: labeling base H: %w", err)
 	}
@@ -310,7 +307,7 @@ func solve3ECSS(g *graph.Graph, h []int, weighted bool, opts ThreeECSSOptions, a
 					if nh := cycles.BFSHeight(g, sel); nh >= 0 && 2*nh <= curH {
 						tr := opts.Phase.phaseStart()
 						eng.Release()
-						eng, err = cycles.NewIncremental(g, sel, bits, opts.Rng, opts.LabelArena, simOpts...)
+						eng, err = cycles.NewIncremental(g, sel, bits, opts.Rng, opts.LabelArena, simArena)
 						if err != nil {
 							return nil, fmt.Errorf("core: rebalancing H∪A labeling: %w", err)
 						}

@@ -81,7 +81,7 @@ func checkLabelingSteps(t *testing.T, g *graph.Graph, weighted bool) {
 		}
 	}
 	rng := rand.New(rand.NewSource(42))
-	eng, err := cycles.NewIncremental(g, h, 48, rng, nil)
+	eng, err := cycles.NewIncremental(g, h, 48, rng, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func Solve2ECSS(g *graph.Graph, opts TwoECSSOptions) (*TwoECSSResult, error) {
 	)
 	t0 := opts.Phase.phaseStart()
 	if opts.SimulateMST {
-		mres, err := mst.DistributedBoruvka(g, congest.WithArena(opts.Arena))
+		mres, err := mst.DistributedBoruvkaArena(g, opts.Arena)
 		if err != nil {
 			return nil, fmt.Errorf("core: distributed MST: %w", err)
 		}

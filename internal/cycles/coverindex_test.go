@@ -25,7 +25,7 @@ func TestCoverIndexMatchesCoverCount(t *testing.T) {
 		{60, 80, 48, 5},
 	} {
 		g, base, cands := spanning2EC(tc.n, tc.extra, tc.seed)
-		inc, err := NewIncremental(g, base, tc.bits, rand.New(rand.NewSource(tc.seed*31)), nil)
+		inc, err := NewIncremental(g, base, tc.bits, rand.New(rand.NewSource(tc.seed*31)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestCoverIndexMatchesCoverCount(t *testing.T) {
 // with a pointed message.
 func TestCoverIndexDirtySetIsSound(t *testing.T) {
 	g, base, cands := spanning2EC(30, 50, 11)
-	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(13)), nil)
+	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(13)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestCoverIndexBranchesExact(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, base, cands := tc.host()
-			inc, err := NewIncremental(g, base, tc.bits, rand.New(rand.NewSource(int64(len(cands)))), nil)
+			inc, err := NewIncremental(g, base, tc.bits, rand.New(rand.NewSource(int64(len(cands)))), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestCoverIndexLabelSwapDirtiesCandidate(t *testing.T) {
 	}
 	cand := g.AddEdge(0, 3, 1)
 	add := g.AddEdge(2, 4, 1)
-	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(1)), nil)
+	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(1)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

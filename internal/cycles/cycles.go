@@ -139,8 +139,8 @@ func (p *labelProgram) Round(ctx *congest.Context, inbox []congest.Message) bool
 // no owned list and in no tree ParentEdge carry no messages, which is how
 // the Incremental engine scans an active subgraph in place over the full
 // host network. After the scan, progs[v].upLabel is φ(tr.ParentEdge[v]).
-func runLabelScan(host *graph.Graph, tr *tree.Rooted, owned [][]int, labelOf func(edgeID int) uint64, opts []congest.Option) ([]*labelProgram, congest.Metrics, error) {
-	progs := make([]*labelProgram, host.N())
+func runLabelScan(host *congest.Topology, tr *tree.Rooted, owned [][]int, labelOf func(edgeID int) uint64, a *congest.NetworkArena) ([]*labelProgram, congest.Metrics, error) {
+	progs := make([]*labelProgram, host.Graph().N())
 	net := congest.NewNetwork(host, func(v int) congest.Program {
 		var nt []ownedLabel
 		if len(owned[v]) > 0 {
@@ -152,7 +152,7 @@ func runLabelScan(host *graph.Graph, tr *tree.Rooted, owned [][]int, labelOf fun
 		p := &labelProgram{tr: tr, nonTree: nt}
 		progs[v] = p
 		return p
-	}, opts...)
+	}, a)
 	metrics, err := net.Run(tr.Height() + 4)
 	if err != nil {
 		return nil, metrics, fmt.Errorf("cycles: label scan did not quiesce: %w", err)
@@ -163,15 +163,16 @@ func runLabelScan(host *graph.Graph, tr *tree.Rooted, owned [][]int, labelOf fun
 // ComputeLabels samples a random b-bit circulation of g (which must be
 // connected; 2-edge-connectedness is required for the cut-pair
 // characterization, not for the computation) over the given spanning tree
-// and returns the labels, running the distributed scan on the simulator.
-// bits must be in [1, 64].
-func ComputeLabels(g *graph.Graph, tr *tree.Rooted, bits int, rng *rand.Rand, opts ...congest.Option) (*Labeling, error) {
+// and returns the labels, running the distributed scan on the simulator
+// over t (see congest.NewNetwork for a). bits must be in [1, 64].
+func ComputeLabels(t *congest.Topology, tr *tree.Rooted, bits int, rng *rand.Rand, a *congest.NetworkArena) (*Labeling, error) {
 	if bits < 1 || bits > 64 {
 		return nil, fmt.Errorf("cycles: bits must be in [1,64], got %d", bits)
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("cycles: rng is required")
 	}
+	g := t.Graph()
 	mask := labelMask(bits)
 	inTree := tr.IsTreeEdge()
 	// Sample non-tree labels at the smaller endpoint (deterministic owner).
@@ -194,7 +195,7 @@ func ComputeLabels(g *graph.Graph, tr *tree.Rooted, bits int, rng *rand.Rand, op
 			labels[e] = rng.Uint64() & mask
 		}
 	}
-	progs, metrics, err := runLabelScan(g, tr, owned, func(e int) uint64 { return labels[e] }, opts)
+	progs, metrics, err := runLabelScan(t, tr, owned, func(e int) uint64 { return labels[e] }, a)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/tree"
 )
@@ -19,7 +20,7 @@ func bfsTree(t *testing.T, g *graph.Graph) *tree.Rooted {
 
 func labelsFor(t *testing.T, g *graph.Graph, bits int, seed int64) *Labeling {
 	t.Helper()
-	l, err := ComputeLabels(g, bfsTree(t, g), bits, rand.New(rand.NewSource(seed)))
+	l, err := ComputeLabels(congest.NewTopology(g), bfsTree(t, g), bits, rand.New(rand.NewSource(seed)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,13 @@ func pairSet(pairs []graph.CutPair) map[graph.CutPair]bool {
 func TestComputeLabelsValidation(t *testing.T) {
 	g := graph.Cycle(4, graph.UnitWeights())
 	tr := bfsTree(t, g)
-	if _, err := ComputeLabels(g, tr, 0, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := ComputeLabels(congest.NewTopology(g), tr, 0, rand.New(rand.NewSource(1)), nil); err == nil {
 		t.Fatal("expected error for bits=0")
 	}
-	if _, err := ComputeLabels(g, tr, 65, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := ComputeLabels(congest.NewTopology(g), tr, 65, rand.New(rand.NewSource(1)), nil); err == nil {
 		t.Fatal("expected error for bits=65")
 	}
-	if _, err := ComputeLabels(g, tr, 32, nil); err == nil {
+	if _, err := ComputeLabels(congest.NewTopology(g), tr, 32, nil, nil); err == nil {
 		t.Fatal("expected error for nil rng")
 	}
 }
@@ -136,7 +137,7 @@ func TestNarrowLabelsProduceFalsePositives(t *testing.T) {
 func TestLabelScanRoundsAreTreeHeight(t *testing.T) {
 	g := graph.Grid(3, 20, graph.UnitWeights())
 	tr := bfsTree(t, g)
-	l, err := ComputeLabels(g, tr, 32, rand.New(rand.NewSource(5)))
+	l, err := ComputeLabels(congest.NewTopology(g), tr, 32, rand.New(rand.NewSource(5)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestTreeEdgeLabelIsXOROfCoveringEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := graph.RandomKConnected(15, 2, 10, rng, graph.UnitWeights())
 	tr := bfsTree(t, g)
-	l, err := ComputeLabels(g, tr, 64, rand.New(rand.NewSource(22)))
+	l, err := ComputeLabels(congest.NewTopology(g), tr, 64, rand.New(rand.NewSource(22)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,8 +139,9 @@ type labelHook interface {
 // solvers pass their 2-edge-connected base H): it roots a BFS tree of the
 // base at vertex 0, samples non-tree labels, and runs the distributed label
 // scan over the host network. bits must be in [1, 64]; rng drives all label
-// sampling (here and in AddEdges). ar may be nil for unpooled scratch.
-func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Arena, simOpts ...congest.Option) (*Incremental, error) {
+// sampling (here and in AddEdges). ar may be nil for unpooled scratch; sim
+// supplies the scan's simulator buffers (nil for fresh ones).
+func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Arena, sim *congest.NetworkArena) (*Incremental, error) {
 	if bits < 1 || bits > 64 {
 		return nil, fmt.Errorf("cycles: bits must be in [1,64], got %d", bits)
 	}
@@ -174,7 +175,7 @@ func NewIncremental(g *graph.Graph, base []int, bits int, rng *rand.Rand, ar *Ar
 		inc.active[id] = true
 		inc.activeIDs = append(inc.activeIDs, id)
 	}
-	progs, metrics, err := runLabelScan(g, tr, owned, func(e int) uint64 { return inc.phi[e] }, simOpts)
+	progs, metrics, err := runLabelScan(congest.NewTopology(g), tr, owned, func(e int) uint64 { return inc.phi[e] }, sim)
 	if err != nil {
 		inc.Release()
 		return nil, err
@@ -522,9 +523,9 @@ func (inc *Incremental) Phi(id int) uint64 { return inc.phi[id] }
 // its covering non-tree labels, the scan reproduces the incrementally
 // maintained state bit-for-bit; the equivalence tests pin it against
 // AddEdges after every activation step.
-func (inc *Incremental) RelabelScan(simOpts ...congest.Option) (int64, error) {
+func (inc *Incremental) RelabelScan() (int64, error) {
 	owned := inc.ownedLists(inc.activeIDs)
-	progs, metrics, err := runLabelScan(inc.G, inc.Tree, owned, func(e int) uint64 { return inc.phi[e] }, simOpts)
+	progs, metrics, err := runLabelScan(congest.NewTopology(inc.G), inc.Tree, owned, func(e int) uint64 { return inc.phi[e] }, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -39,19 +40,19 @@ func spanning2EC(n, extra int, seed int64) (*graph.Graph, []int, []int) {
 
 func TestIncrementalValidation(t *testing.T) {
 	g, base, _ := spanning2EC(6, 2, 1)
-	if _, err := NewIncremental(g, base, 0, rand.New(rand.NewSource(1)), nil); err == nil {
+	if _, err := NewIncremental(g, base, 0, rand.New(rand.NewSource(1)), nil, nil); err == nil {
 		t.Fatal("expected error for bits=0")
 	}
-	if _, err := NewIncremental(g, base, 32, nil, nil); err == nil {
+	if _, err := NewIncremental(g, base, 32, nil, nil, nil); err == nil {
 		t.Fatal("expected error for nil rng")
 	}
 	// A non-spanning base (single edge) must be rejected — and must hand a
 	// borrowed arena back instead of leaking it busy for the worker's life.
 	ar := NewLabelArena()
-	if _, err := NewIncremental(g, base[:1], 32, rand.New(rand.NewSource(1)), ar); err == nil {
+	if _, err := NewIncremental(g, base[:1], 32, rand.New(rand.NewSource(1)), ar, nil); err == nil {
 		t.Fatal("expected error for non-spanning base")
 	}
-	inc, err := NewIncremental(g, base, 32, rand.New(rand.NewSource(1)), ar)
+	inc, err := NewIncremental(g, base, 32, rand.New(rand.NewSource(1)), ar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestIncrementalInitMatchesComputeLabels(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	inc, err := NewIncremental(g, all, 48, rand.New(rand.NewSource(7)), nil)
+	inc, err := NewIncremental(g, all, 48, rand.New(rand.NewSource(7)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := ComputeLabels(g, inc.Tree, 48, rand.New(rand.NewSource(7)))
+	l, err := ComputeLabels(congest.NewTopology(g), inc.Tree, 48, rand.New(rand.NewSource(7)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestIncrementalAddEdgesMatchesRelabelScan(t *testing.T) {
 	// bit-for-bit, and the rebuilt counts agree with the maintained ones.
 	for _, seed := range []int64{1, 2, 3} {
 		g, base, cands := spanning2EC(20, 30, seed)
-		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed*100)), nil)
+		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed*100)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestIncrementalCoverCountMatchesBruteForce(t *testing.T) {
 	// equals the number of cut pairs of H∪A it would cover.
 	rng := rand.New(rand.NewSource(9))
 	g, base, cands := spanning2EC(12, 10, 9)
-	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(17)), nil)
+	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(17)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestIncrementalPredicateAgainstOracle(t *testing.T) {
 	// collisions negligible at these sizes).
 	for _, seed := range []int64{4, 5} {
 		g, base, cands := spanning2EC(10, 25, seed)
-		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed)), nil)
+		inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(seed)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestIncrementalArena(t *testing.T) {
 	ar := NewLabelArena()
 	g1, base1, cands1 := spanning2EC(14, 12, 21)
 	run := func(ar *Arena) map[int]uint64 {
-		inc, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar)
+		inc, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +210,11 @@ func TestIncrementalArena(t *testing.T) {
 	}
 	// A busy arena is not handed out twice: the nested engine silently
 	// falls back to fresh allocation and still works.
-	inc1, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar)
+	inc1, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc2, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar)
+	inc2, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestIncrementalArena(t *testing.T) {
 	}
 	inc1.Release()
 	// After release the arena is free again.
-	if inc3, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar); err != nil {
+	if inc3, err := NewIncremental(g1, base1, 48, rand.New(rand.NewSource(6)), ar, nil); err != nil {
 		t.Fatal(err)
 	} else if inc3.arena == nil {
 		t.Fatal("released arena was not reused")
@@ -238,7 +239,7 @@ func TestIncrementalArena(t *testing.T) {
 
 func TestIncrementalAddEdgesPanicsOnDouble(t *testing.T) {
 	g, base, cands := spanning2EC(8, 4, 2)
-	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(1)), nil)
+	inc, err := NewIncremental(g, base, 48, rand.New(rand.NewSource(1)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

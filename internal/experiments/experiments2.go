@@ -108,12 +108,9 @@ func E8(s Scale) (*Table, error) {
 			return nil, fmt.Errorf("E8 %s: %w", tc.name, err)
 		}
 		var rows [][]any
+		topo := congest.NewTopology(tc.g)
 		for _, b := range widths {
-			var opts []congest.Option
-			if w.Arena != nil {
-				opts = append(opts, congest.WithArena(w.Arena))
-			}
-			l, err := cycles.ComputeLabels(tc.g, tr, b, rand.New(rand.NewSource(5)), opts...)
+			l, err := cycles.ComputeLabels(topo, tr, b, rand.New(rand.NewSource(5)), w.Arena)
 			if err != nil {
 				return nil, fmt.Errorf("E8 %s b=%d: %w", tc.name, b, err)
 			}

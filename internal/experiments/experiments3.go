@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/baselines"
-	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mst"
@@ -47,7 +46,7 @@ func E11(s Scale) (*Table, error) {
 		for _, id := range tr.EdgeIDs() {
 			covered[id] = rng.Float64() < 0.5
 		}
-		res, err := tapdist.ComputeCe(g, dec, covered, nil, congest.WithArena(w.Arena))
+		res, err := tapdist.ComputeCe(g, dec, covered, nil, w.Arena)
 		if err != nil {
 			return nil, fmt.Errorf("E11 n=%d: %w", n, err)
 		}
@@ -117,11 +116,11 @@ func E12(s Scale) (*Table, error) {
 		tc := cases[i]
 		rng := rand.New(rand.NewSource(int64(5 + i)))
 		d := tc.g.DiameterEstimate()
-		rep2, err := verify.TwoEdgeConnectivity(tc.g, 48, rng, congest.WithArena(w.Arena))
+		rep2, err := verify.TwoEdgeConnectivity(tc.g, 48, rng, w.Arena)
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", tc.name, err)
 		}
-		rep3, err := verify.ThreeEdgeConnectivity(tc.g, 48, rng, congest.WithArena(w.Arena))
+		rep3, err := verify.ThreeEdgeConnectivity(tc.g, 48, rng, w.Arena)
 		if err != nil {
 			return nil, fmt.Errorf("E12 %s: %w", tc.name, err)
 		}

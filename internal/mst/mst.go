@@ -16,7 +16,6 @@ package mst
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -77,19 +76,26 @@ var infKey = edgeKey{w: 1 << 62, id: 1 << 62}
 //     fragment tree by a restricted BFS from the new ID's vertex.
 //
 // Metrics accumulate over all sub-runs. O(log n) phases.
-func DistributedBoruvka(g *graph.Graph, opts ...congest.Option) (*Result, error) {
+func DistributedBoruvka(g *graph.Graph) (*Result, error) { return DistributedBoruvkaArena(g, nil) }
+
+// DistributedBoruvkaArena is DistributedBoruvka with its simulator buffers
+// borrowed from a (see congest.NetworkArena); nil gives the call its own
+// arena. Every phase runs four short-lived networks over g: they share one
+// congest.Topology, built here once, and the arena's message buffers.
+func DistributedBoruvkaArena(g *graph.Graph, a *congest.NetworkArena) (*Result, error) {
 	n := g.N()
 	if n == 0 {
 		return &Result{}, nil
 	}
-	// Every phase builds several short-lived networks over g; by default one
-	// arena lets them all share buffers.
 	st := &boruvkaState{
 		g:          g,
+		topo:       congest.NewTopology(g),
+		arena:      congest.ArenaOrNew(a),
 		fragID:     make([]int, n),
 		parent:     make([]int, n),
 		parentEdge: make([]int, n),
-		opts:       congest.WithDefaultArena(opts),
+		heard:      make([]int64, 2*g.M()),
+		cluster:    make([]bool, g.M()),
 	}
 	for v := 0; v < n; v++ {
 		st.fragID[v] = v
@@ -131,14 +137,29 @@ func bitLen(n int) int {
 // boruvkaState holds the global view the simulation maintains between
 // phases: each entry is per-vertex local knowledge (its fragment ID and its
 // parent within the fragment tree), mirrored here so successive network runs
-// can be parameterized by it.
+// can be parameterized by it. It lives for one DistributedBoruvkaArena call,
+// the borrower of the arena it holds.
+//
+// A fragment's ID is the smallest vertex ID in it, and that vertex is the
+// fragment tree's root: true initially (every vertex alone), and kept by
+// each phase, which floods the minimum ID over the merged cluster and
+// re-roots it there.
+//
+//kecss:arena-owner
 type boruvkaState struct {
 	g          *graph.Graph
+	topo       *congest.Topology
+	arena      *congest.NetworkArena
 	fragID     []int
 	parent     []int // parent within fragment tree, -1 at fragment root
 	parentEdge []int
 	mstEdges   []int
-	opts       []congest.Option
+	// heard[2e+s] is the fragment ID that edge e's endpoint (s = 0 for U,
+	// 1 for V) heard across e in the exchange round; -1 if nothing arrived.
+	heard []int64
+	// cluster marks the phase's merge edges: fragment-tree edges plus the
+	// newly chosen MWOEs.
+	cluster []bool
 }
 
 // phase runs one Borůvka phase, returns the number of fragment merges.
@@ -147,20 +168,36 @@ func (st *boruvkaState) phase(acc *congest.Metrics) (int, error) {
 	n := g.N()
 
 	// Step 1+2: fragment-ID exchange, then MWOE convergecast + broadcast on
-	// the fragment forest.
-	mwoe, err := st.findMWOEs(acc)
+	// the fragment forest. best[v] is the MWOE of the fragment rooted at v.
+	best, err := st.findMWOEs(acc)
 	if err != nil {
 		return 0, err
 	}
 
-	// Collect chosen MWOE per fragment; resolve merge forest.
-	chosen := make(map[int]int) // fragment ID -> edge ID
-	for f, k := range mwoe {
-		if k != infKey {
-			chosen[f] = int(k.id)
+	// Mark the fragment-tree edges, then add each fragment's MWOE in
+	// fragment-ID order (roots in vertex order, by the invariant above) so
+	// the result's edge order is a pure function of the input
+	// (TestDistributedBoruvkaArenaEquivalence pins this). Two fragments may
+	// choose the same edge; an MWOE is never a fragment-tree edge, so a set
+	// cluster bit means a duplicate.
+	clear(st.cluster)
+	for v := 0; v < n; v++ {
+		if st.parentEdge[v] != -1 {
+			st.cluster[st.parentEdge[v]] = true
 		}
 	}
-	if len(chosen) == 0 {
+	chosen := 0
+	for v := 0; v < n; v++ {
+		if st.parent[v] != -1 || best[v] == infKey {
+			continue
+		}
+		chosen++
+		if id := int(best[v].id); !st.cluster[id] {
+			st.cluster[id] = true
+			st.mstEdges = append(st.mstEdges, id)
+		}
+	}
+	if chosen == 0 {
 		return 0, nil
 	}
 	// Step 3 happens implicitly: both endpoints of a chosen edge learn it
@@ -168,73 +205,51 @@ func (st *boruvkaState) phase(acc *congest.Metrics) (int, error) {
 	// edge set that both endpoints are told about. For edge accounting we
 	// charge one extra round for the cross-edge announcement.
 	acc.Rounds++
-	acc.Messages += int64(len(chosen))
-	acc.Bits += int64(len(chosen)) * int64(congest.Payload{}.Bits())
-
-	// Append the phase's new MST edges in fragment-ID order: map iteration
-	// order is randomized, and the result's edge order should be a pure
-	// function of the input (TestDistributedBoruvkaArenaEquivalence pins this).
-	fragIDs := make([]int, 0, len(chosen))
-	for f := range chosen {
-		fragIDs = append(fragIDs, f)
-	}
-	sort.Ints(fragIDs)
-	newEdges := make(map[int]bool, len(chosen))
-	for _, f := range fragIDs {
-		id := chosen[f]
-		if !newEdges[id] {
-			newEdges[id] = true
-			st.mstEdges = append(st.mstEdges, id)
-		}
-	}
+	acc.Messages += int64(chosen)
+	acc.Bits += int64(chosen) * int64(congest.Payload{}.Bits())
 
 	// Step 4a: clusters (fragment trees + new MWOE edges) agree on min
 	// fragment ID by restricted flooding.
-	clusterEdge := make(map[int]bool, n+len(newEdges))
-	for v := 0; v < n; v++ {
-		if st.parentEdge[v] != -1 {
-			clusterEdge[st.parentEdge[v]] = true
-		}
-	}
-	for id := range newEdges {
-		clusterEdge[id] = true
-	}
-	newID, err := minFloodRestricted(g, clusterEdge, st.fragID, st.opts, acc)
+	newID, err := minFloodRestricted(st.topo, st.cluster, st.fragID, st.arena, acc)
 	if err != nil {
 		return 0, err
 	}
 
 	// Step 4b: re-root each cluster at the vertex whose ID equals the new
 	// cluster ID by a restricted BFS.
-	parent, parentEdge, err := bfsRestricted(g, clusterEdge, newID, st.opts, acc)
+	parent, parentEdge, err := bfsRestricted(st.topo, st.cluster, newID, st.arena, acc)
 	if err != nil {
 		return 0, err
 	}
 
 	mergedAway := 0
-	seenOld := make(map[int]bool, n)
-	seenNew := make(map[int]bool, n)
 	for v := 0; v < n; v++ {
-		seenOld[st.fragID[v]] = true
-		seenNew[newID[v]] = true
+		if st.fragID[v] == v {
+			mergedAway++
+		}
+		if newID[v] == v {
+			mergedAway--
+		}
 	}
-	mergedAway = len(seenOld) - len(seenNew)
 	st.fragID = newID
 	st.parent = parent
 	st.parentEdge = parentEdge
 	return mergedAway, nil
 }
 
-// findMWOEs returns, per fragment ID, the minimum outgoing edge key. It runs
-// two network programs: one exchange round so every node learns neighbour
+// findMWOEs returns, per fragment root, the fragment's minimum outgoing edge
+// key (infKey if none; entries at non-roots are unspecified). It runs two
+// network programs: one exchange round so every node learns neighbour
 // fragment IDs, then convergecast+broadcast on fragment trees.
-func (st *boruvkaState) findMWOEs(acc *congest.Metrics) (map[int]edgeKey, error) {
+func (st *boruvkaState) findMWOEs(acc *congest.Metrics) ([]edgeKey, error) {
 	g := st.g
+	n := g.N()
 	// Exchange round: every node learns the fragment ID across each edge.
-	exchanged := make([]map[int]int, g.N())
-	net := congest.NewNetwork(g, func(v int) congest.Program {
-		return &fragExchangeProgram{fragID: int64(st.fragID[v]), got: &exchanged[v]}
-	}, st.opts...)
+	for i := range st.heard {
+		st.heard[i] = -1
+	}
+	exchange := &fragExchangeProgram{st: st}
+	net := congest.NewNetwork(st.topo, func(int) congest.Program { return exchange }, st.arena)
 	m, err := net.Run(3)
 	if err != nil {
 		return nil, fmt.Errorf("mst: fragment exchange: %w", err)
@@ -242,18 +257,19 @@ func (st *boruvkaState) findMWOEs(acc *congest.Metrics) (map[int]edgeKey, error)
 	accAdd(acc, m)
 
 	// Local MWOE candidate per node.
-	localBest := make([]edgeKey, g.N())
-	for v := 0; v < g.N(); v++ {
+	localBest := make([]edgeKey, n)
+	for v := 0; v < n; v++ {
 		localBest[v] = infKey
 		for _, a := range g.Adj(v) {
-			of, ok := exchanged[v][a.Edge]
-			if !ok {
+			e := g.Edge(a.Edge)
+			of := st.heard[heardIndex(e, v)]
+			if of < 0 {
 				return nil, fmt.Errorf("mst: missing fragment id on edge %d at vertex %d", a.Edge, v)
 			}
-			if of == st.fragID[v] {
+			if int(of) == st.fragID[v] {
 				continue
 			}
-			k := edgeKey{w: g.Edge(a.Edge).W, id: int64(a.Edge)}
+			k := edgeKey{w: e.W, id: int64(a.Edge)}
 			if k.less(localBest[v]) {
 				localBest[v] = k
 			}
@@ -261,35 +277,33 @@ func (st *boruvkaState) findMWOEs(acc *congest.Metrics) (map[int]edgeKey, error)
 	}
 
 	// Convergecast min edgeKey up fragment trees, then broadcast winner.
-	out := make(map[int]edgeKey)
-	children := make([]int, g.N())
-	for u := 0; u < g.N(); u++ {
+	progs := make([]mwoeProgram, n)
+	for u := 0; u < n; u++ {
+		progs[u].parent = st.parent[u]
+		progs[u].parentEdge = st.parentEdge[u]
+		progs[u].best = localBest[u]
 		if st.parent[u] != -1 {
-			children[st.parent[u]]++
+			progs[st.parent[u]].pending++
 		}
 	}
-	progs := make([]*mwoeProgram, g.N())
-	net2 := congest.NewNetwork(g, func(v int) congest.Program {
-		p := &mwoeProgram{
-			parent:     st.parent[v],
-			parentEdge: st.parentEdge[v],
-			pending:    children[v],
-			best:       localBest[v],
-		}
-		progs[v] = p
-		return p
-	}, st.opts...)
-	m2, err := net2.Run(g.N() + 3)
+	net2 := congest.NewNetwork(st.topo, func(v int) congest.Program { return &progs[v] }, st.arena)
+	m2, err := net2.Run(n + 3)
 	if err != nil {
 		return nil, fmt.Errorf("mst: MWOE convergecast: %w", err)
 	}
 	accAdd(acc, m2)
-	for v := 0; v < g.N(); v++ {
-		if st.parent[v] == -1 { // fragment root
-			out[st.fragID[v]] = progs[v].best
-		}
+	for v := 0; v < n; v++ {
+		localBest[v] = progs[v].best
 	}
-	return out, nil
+	return localBest, nil
+}
+
+// heardIndex is the heard slot of edge e at its endpoint v.
+func heardIndex(e graph.Edge, v int) int {
+	if v == e.V {
+		return 2*e.ID + 1
+	}
+	return 2 * e.ID
 }
 
 func accAdd(acc *congest.Metrics, m congest.Metrics) {
@@ -299,21 +313,20 @@ func accAdd(acc *congest.Metrics, m congest.Metrics) {
 }
 
 // fragExchangeProgram: every node announces its fragment ID on all edges and
-// records what it hears per edge.
+// records what it hears per edge into the shared heard table. It keeps no
+// per-node state, so one instance serves every node.
 type fragExchangeProgram struct {
-	fragID int64
-	got    *map[int]int
+	st *boruvkaState
 }
 
 func (p *fragExchangeProgram) Init(ctx *congest.Context) {
-	*p.got = make(map[int]int, len(ctx.Neighbors()))
-	ctx.Broadcast(congest.Payload{Kind: 11, A: p.fragID})
+	ctx.Broadcast(congest.Payload{Kind: 11, A: int64(p.st.fragID[ctx.Node()])})
 }
 
 func (p *fragExchangeProgram) Round(_ *congest.Context, inbox []congest.Message) bool {
 	for _, m := range inbox {
 		if m.Kind == 11 {
-			(*p.got)[m.Edge] = int(m.A)
+			p.st.heard[heardIndex(p.st.g.Edge(m.Edge), m.To)] = m.A
 		}
 	}
 	return true
@@ -356,19 +369,19 @@ func (p *mwoeProgram) Round(ctx *congest.Context, inbox []congest.Message) bool 
 
 // minFloodRestricted floods the minimum of start[] over the subgraph whose
 // edges are in allowed; returns per-vertex minimum of its connected cluster.
-func minFloodRestricted(g *graph.Graph, allowed map[int]bool, start []int, opts []congest.Option, acc *congest.Metrics) ([]int, error) {
-	progs := make([]*restrictedMinProgram, g.N())
-	net := congest.NewNetwork(g, func(v int) congest.Program {
-		p := &restrictedMinProgram{allowed: allowed, best: int64(start[v])}
-		progs[v] = p
-		return p
-	}, opts...)
-	m, err := net.Run(2*g.N() + 4)
+func minFloodRestricted(t *congest.Topology, allowed []bool, start []int, a *congest.NetworkArena, acc *congest.Metrics) ([]int, error) {
+	n := t.Graph().N()
+	progs := make([]restrictedMinProgram, n)
+	net := congest.NewNetwork(t, func(v int) congest.Program {
+		progs[v] = restrictedMinProgram{allowed: allowed, best: int64(start[v])}
+		return &progs[v]
+	}, a)
+	m, err := net.Run(2*n + 4)
 	if err != nil {
 		return nil, fmt.Errorf("mst: cluster min flood: %w", err)
 	}
 	accAdd(acc, m)
-	out := make([]int, g.N())
+	out := make([]int, n)
 	for v := range out {
 		out[v] = int(progs[v].best)
 	}
@@ -376,7 +389,7 @@ func minFloodRestricted(g *graph.Graph, allowed map[int]bool, start []int, opts 
 }
 
 type restrictedMinProgram struct {
-	allowed   map[int]bool
+	allowed   []bool // by edge ID
 	best      int64
 	announced int64
 	started   bool
@@ -408,20 +421,20 @@ func (p *restrictedMinProgram) Round(ctx *congest.Context, inbox []congest.Messa
 // bfsRestricted runs a BFS restricted to allowed edges, rooted at every
 // vertex v with rootID[v] == v, producing per-vertex parent pointers within
 // its cluster.
-func bfsRestricted(g *graph.Graph, allowed map[int]bool, rootID []int, opts []congest.Option, acc *congest.Metrics) (parent, parentEdge []int, err error) {
-	progs := make([]*restrictedBFSProgram, g.N())
-	net := congest.NewNetwork(g, func(v int) congest.Program {
-		p := &restrictedBFSProgram{allowed: allowed, isRoot: rootID[v] == v}
-		progs[v] = p
-		return p
-	}, opts...)
-	m, err := net.Run(2*g.N() + 4)
+func bfsRestricted(t *congest.Topology, allowed []bool, rootID []int, a *congest.NetworkArena, acc *congest.Metrics) (parent, parentEdge []int, err error) {
+	n := t.Graph().N()
+	progs := make([]restrictedBFSProgram, n)
+	net := congest.NewNetwork(t, func(v int) congest.Program {
+		progs[v] = restrictedBFSProgram{allowed: allowed, isRoot: rootID[v] == v}
+		return &progs[v]
+	}, a)
+	m, err := net.Run(2*n + 4)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mst: cluster BFS: %w", err)
 	}
 	accAdd(acc, m)
-	parent = make([]int, g.N())
-	parentEdge = make([]int, g.N())
+	parent = make([]int, n)
+	parentEdge = make([]int, n)
 	for v := range parent {
 		if !progs[v].joined {
 			return nil, nil, fmt.Errorf("mst: vertex %d not reached by cluster BFS", v)
@@ -433,7 +446,7 @@ func bfsRestricted(g *graph.Graph, allowed map[int]bool, rootID []int, opts []co
 }
 
 type restrictedBFSProgram struct {
-	allowed    map[int]bool
+	allowed    []bool // by edge ID
 	isRoot     bool
 	joined     bool
 	parent     int

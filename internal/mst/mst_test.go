@@ -134,7 +134,7 @@ func TestDistributedBoruvkaArenaEquivalence(t *testing.T) {
 		}
 		arena := congest.NewArena()
 		for rep := 0; rep < 2; rep++ {
-			got, err := DistributedBoruvka(g, congest.WithArena(arena))
+			got, err := DistributedBoruvkaArena(g, arena)
 			if err != nil {
 				t.Fatalf("graph %d rep %d: %v", gi, rep, err)
 			}

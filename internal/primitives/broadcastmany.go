@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/congest"
-	"repro/internal/graph"
 	"repro/internal/tree"
 )
 
@@ -48,16 +47,17 @@ func (p *bcastManyProgram) Round(ctx *congest.Context, inbox []congest.Message) 
 // by pipelined tree broadcast in height + ℓ + O(1) rounds. Returns the
 // items as received at each vertex (in pipeline order, equal to the input
 // order).
-func BroadcastMany(g *graph.Graph, tr *tree.Rooted, items []int64) ([][]int64, congest.Metrics, error) {
+func BroadcastMany(t *congest.Topology, tr *tree.Rooted, items []int64, a *congest.NetworkArena) ([][]int64, congest.Metrics, error) {
+	g := t.Graph()
 	progs := make([]*bcastManyProgram, g.N())
-	net := congest.NewNetwork(g, func(v int) congest.Program {
+	net := congest.NewNetwork(t, func(v int) congest.Program {
 		p := &bcastManyProgram{tr: tr, expect: len(items)}
 		if v == tr.Root {
 			p.buf = append(p.buf, items...)
 		}
 		progs[v] = p
 		return p
-	})
+	}, a)
 	m, err := net.Run(tr.Height() + len(items) + 3)
 	if err != nil {
 		return nil, m, fmt.Errorf("primitives: BroadcastMany did not quiesce: %w", err)

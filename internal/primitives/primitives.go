@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"repro/internal/congest"
-	"repro/internal/graph"
 	"repro/internal/tree"
 )
 
@@ -86,10 +85,13 @@ var ErrBFSNotSpanning = errors.New("BFS tree does not span the graph")
 // distributed BFS program, returning the tree and the simulation metrics.
 // On a disconnected graph the returned error wraps ErrBFSNotSpanning and
 // the metrics still report the rounds the failed BFS consumed.
-func BuildBFSTree(g *graph.Graph, root int, opts ...congest.Option) (*tree.Rooted, congest.Metrics, error) {
-	net := congest.NewNetwork(g, func(int) congest.Program {
-		return &bfsProgram{root: root}
-	}, opts...)
+func BuildBFSTree(t *congest.Topology, root int, a *congest.NetworkArena) (*tree.Rooted, congest.Metrics, error) {
+	g := t.Graph()
+	progs := make([]bfsProgram, g.N()) // one allocation, not one per node
+	net := congest.NewNetwork(t, func(v int) congest.Program {
+		progs[v].root = root
+		return &progs[v]
+	}, a)
 	m, runErr := net.Run(g.N() + 2)
 	// Distinguish "some vertices never joined" (disconnected input — the
 	// exploration wave cannot reach them, so the network never quiesces and
@@ -97,7 +99,7 @@ func BuildBFSTree(g *graph.Graph, root int, opts ...congest.Option) (*tree.Roote
 	// flags directly instead of inferring from downstream tree validation.
 	unreached := 0
 	for v := 0; v < g.N(); v++ {
-		if !net.Program(v).(*bfsProgram).joined {
+		if !progs[v].joined {
 			unreached++
 		}
 	}
@@ -111,7 +113,7 @@ func BuildBFSTree(g *graph.Graph, root int, opts ...congest.Option) (*tree.Roote
 	parent := make([]int, g.N())
 	parentEdge := make([]int, g.N())
 	for v := 0; v < g.N(); v++ {
-		p := net.Program(v).(*bfsProgram)
+		p := &progs[v]
 		parent[v] = p.parent
 		parentEdge[v] = p.parentEdge
 	}
@@ -183,10 +185,10 @@ func (a *aggProgram) Round(ctx *congest.Context, inbox []congest.Message) bool {
 
 // Aggregate convergecasts values[v] over tr with op, returning the aggregate
 // at the root. Height+O(1) rounds.
-func Aggregate(g *graph.Graph, tr *tree.Rooted, values []int64, op AggOp) (int64, congest.Metrics, error) {
-	net := congest.NewNetwork(g, func(v int) congest.Program {
+func Aggregate(t *congest.Topology, tr *tree.Rooted, values []int64, op AggOp, a *congest.NetworkArena) (int64, congest.Metrics, error) {
+	net := congest.NewNetwork(t, func(v int) congest.Program {
 		return &aggProgram{tr: tr, op: op, acc: values[v]}
-	})
+	}, a)
 	m, err := net.Run(tr.Height() + 3)
 	if err != nil {
 		return 0, m, fmt.Errorf("primitives: aggregate did not quiesce: %w", err)
@@ -234,19 +236,19 @@ func (b *bcastProgram) Round(ctx *congest.Context, inbox []congest.Message) bool
 
 // BroadcastValue sends value from the root down tr; every vertex learns it.
 // Returns the value as received at each vertex.
-func BroadcastValue(g *graph.Graph, tr *tree.Rooted, value int64) ([]int64, congest.Metrics, error) {
-	net := congest.NewNetwork(g, func(v int) congest.Program {
+func BroadcastValue(t *congest.Topology, tr *tree.Rooted, value int64, a *congest.NetworkArena) ([]int64, congest.Metrics, error) {
+	net := congest.NewNetwork(t, func(v int) congest.Program {
 		p := &bcastProgram{tr: tr}
 		if v == tr.Root {
 			p.value = value
 		}
 		return p
-	})
+	}, a)
 	m, err := net.Run(tr.Height() + 3)
 	if err != nil {
 		return nil, m, fmt.Errorf("primitives: broadcast did not quiesce: %w", err)
 	}
-	out := make([]int64, g.N())
+	out := make([]int64, t.Graph().N())
 	for v := range out {
 		out[v] = net.Program(v).(*bcastProgram).value
 	}
@@ -300,14 +302,14 @@ func (u *upcastProgram) insert(x int64) {
 // pipelined convergecast. The classic pipelining argument gives height + ℓ
 // rounds, where ℓ is the number of distinct items. Returns the distinct
 // items collected at the root, sorted.
-func Upcast(g *graph.Graph, tr *tree.Rooted, items [][]int64) ([]int64, congest.Metrics, error) {
+func Upcast(t *congest.Topology, tr *tree.Rooted, items [][]int64, a *congest.NetworkArena) ([]int64, congest.Metrics, error) {
 	distinct := make(map[int64]bool)
 	for _, list := range items {
 		for _, x := range list {
 			distinct[x] = true
 		}
 	}
-	net := congest.NewNetwork(g, func(v int) congest.Program {
+	net := congest.NewNetwork(t, func(v int) congest.Program {
 		known := make(map[int64]bool, len(items[v]))
 		var pending []int64
 		for _, x := range items[v] {
@@ -317,7 +319,7 @@ func Upcast(g *graph.Graph, tr *tree.Rooted, items [][]int64) ([]int64, congest.
 			}
 		}
 		return &upcastProgram{tr: tr, pending: pending, known: known}
-	})
+	}, a)
 	m, err := net.Run(tr.Height() + len(distinct) + 3)
 	if err != nil {
 		return nil, m, fmt.Errorf("primitives: upcast did not quiesce: %w", err)
@@ -363,15 +365,17 @@ func (p *minIDProgram) Round(ctx *congest.Context, inbox []congest.Message) bool
 
 // ElectLeader floods vertex IDs until every vertex knows the global minimum
 // (the paper's choice of BFS root). Terminates by quiescence in O(D) rounds.
-func ElectLeader(g *graph.Graph, opts ...congest.Option) (int, congest.Metrics, error) {
-	net := congest.NewNetwork(g, func(int) congest.Program { return &minIDProgram{} }, opts...)
+func ElectLeader(t *congest.Topology, a *congest.NetworkArena) (int, congest.Metrics, error) {
+	g := t.Graph()
+	progs := make([]minIDProgram, g.N()) // one allocation, not one per node
+	net := congest.NewNetwork(t, func(v int) congest.Program { return &progs[v] }, a)
 	m, err := net.Run(2*g.N() + 4)
 	if err != nil {
 		return -1, m, fmt.Errorf("primitives: leader election did not quiesce: %w", err)
 	}
-	leader := net.Program(0).(*minIDProgram).best
+	leader := progs[0].best
 	for v := 0; v < g.N(); v++ {
-		if got := net.Program(v).(*minIDProgram).best; got != leader {
+		if got := progs[v].best; got != leader {
 			return -1, m, fmt.Errorf("primitives: leader disagreement at vertex %d: %d vs %d: %w",
 				v, got, leader, ErrNoGlobalLeader)
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -19,7 +20,7 @@ func TestBuildBFSTreeDepthsMatchDistances(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, m, err := BuildBFSTree(tc.g, tc.root)
+			tr, m, err := BuildBFSTree(congest.NewTopology(tc.g), tc.root, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +41,7 @@ func TestBuildBFSTreeDepthsMatchDistances(t *testing.T) {
 
 func TestAggregate(t *testing.T) {
 	g := graph.Grid(4, 4, graph.UnitWeights())
-	tr, _, err := BuildBFSTree(g, 0)
+	tr, _, err := BuildBFSTree(congest.NewTopology(g), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestAggregate(t *testing.T) {
 		{"max", Max, wantMax},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, m, err := Aggregate(g, tr, values, tc.op)
+			got, m, err := Aggregate(congest.NewTopology(g), tr, values, tc.op, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,11 +86,11 @@ func TestAggregate(t *testing.T) {
 
 func TestBroadcastValue(t *testing.T) {
 	g := graph.Cycle(9, graph.UnitWeights())
-	tr, _, err := BuildBFSTree(g, 3)
+	tr, _, err := BuildBFSTree(congest.NewTopology(g), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, m, err := BroadcastValue(g, tr, 42)
+	got, m, err := BroadcastValue(congest.NewTopology(g), tr, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestBroadcastValue(t *testing.T) {
 
 func TestUpcastCollectsDistinctItems(t *testing.T) {
 	g := graph.Grid(5, 5, graph.UnitWeights())
-	tr, _, err := BuildBFSTree(g, 0)
+	tr, _, err := BuildBFSTree(congest.NewTopology(g), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestUpcastCollectsDistinctItems(t *testing.T) {
 			want[x] = true
 		}
 	}
-	got, m, err := Upcast(g, tr, items)
+	got, m, err := Upcast(congest.NewTopology(g), tr, items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestUpcastCollectsDistinctItems(t *testing.T) {
 func TestUpcastPipeliningScalesLinearly(t *testing.T) {
 	// With ℓ items all at one deep leaf, rounds ≈ depth + ℓ, not depth·ℓ.
 	g := graph.Grid(2, 30, graph.UnitWeights())
-	tr, _, err := BuildBFSTree(g, 0)
+	tr, _, err := BuildBFSTree(congest.NewTopology(g), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestUpcastPipeliningScalesLinearly(t *testing.T) {
 	for j := int64(0); j < l; j++ {
 		items[deepest] = append(items[deepest], j)
 	}
-	_, m, err := Upcast(g, tr, items)
+	_, m, err := Upcast(congest.NewTopology(g), tr, items, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestUpcastPipeliningScalesLinearly(t *testing.T) {
 
 func TestElectLeader(t *testing.T) {
 	g := graph.Grid(4, 7, graph.UnitWeights())
-	leader, m, err := ElectLeader(g)
+	leader, m, err := ElectLeader(congest.NewTopology(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ type Worker struct {
 	ID int
 	// Arena is the worker's private simulation arena, or nil for a pool
 	// built with arenas disabled. Tasks pass it to the congest layer
-	// (congest.WithArena) so consecutive tasks on this worker reuse each
-	// other's network buffers.
+	// (congest.NewNetwork's arena) so consecutive tasks on this worker reuse
+	// each other's network message buffers.
 	Arena *congest.NetworkArena
 	// Labels is the worker's private incremental-labeling arena (nil when
 	// arenas are disabled). Tasks pass it to the 3-ECSS solvers
@@ -87,8 +87,9 @@ type Pool struct {
 }
 
 // NewPool returns a running pool of n workers; n <= 0 means GOMAXPROCS.
-// arenas selects whether each worker owns a congest.NetworkArena (disable
-// only to measure the arenas' effect; results are identical either way).
+// arenas selects whether each worker owns a congest.NetworkArena and a
+// cycles.Arena (disable for a fresh-allocation reference; results are
+// identical either way).
 func NewPool(n int, arenas bool) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -73,11 +73,7 @@ func TestPoolResultsIndependentOfWorkerCount(t *testing.T) {
 		out := make([]int64, 12)
 		p.Run(len(out), func(i int, w *Worker) {
 			g := graph.Harary(3, 16+2*i, graph.UnitWeights())
-			var opts []congest.Option
-			if w.Arena != nil {
-				opts = append(opts, congest.WithArena(w.Arena))
-			}
-			res, err := mst.DistributedBoruvka(g, opts...)
+			res, err := mst.DistributedBoruvkaArena(g, w.Arena)
 			if err != nil {
 				t.Error(err)
 				return

@@ -62,12 +62,14 @@ type Result struct {
 // already covered, and returns |Ce| for every non-tree edge together with
 // the measured cost. bfs is the global-communication BFS tree (built once
 // per run by the caller; pass nil to have one built and its rounds counted).
-func ComputeCe(g *graph.Graph, dec *segments.Decomposition, covered map[int]bool, bfs *tree.Rooted, opts ...congest.Option) (*Result, error) {
-	// The four phases run consecutive networks over g; share their buffers.
-	opts = congest.WithDefaultArena(opts)
+// a supplies the simulator buffers; nil gives the call its own arena.
+func ComputeCe(g *graph.Graph, dec *segments.Decomposition, covered map[int]bool, bfs *tree.Rooted, a *congest.NetworkArena) (*Result, error) {
+	// The four phases run consecutive networks over g; share their port
+	// index and buffers.
+	t, a := congest.NewTopology(g), congest.ArenaOrNew(a)
 	res := &Result{Ce: make(map[int]int64)}
 	if bfs == nil {
-		built, m, err := primitives.BuildBFSTree(g, 0, opts...)
+		built, m, err := primitives.BuildBFSTree(t, 0, a)
 		if err != nil {
 			return nil, fmt.Errorf("tapdist: BFS tree: %w", err)
 		}
@@ -76,17 +78,17 @@ func ComputeCe(g *graph.Graph, dec *segments.Decomposition, covered map[int]bool
 	}
 	views := make([]vertexView, g.N())
 
-	if err := runAncestorScan(g, dec, covered, views, &res.Metrics, opts); err != nil {
+	if err := runAncestorScan(t, dec, covered, views, &res.Metrics, a); err != nil {
 		return nil, err
 	}
-	if err := runHighwayScan(g, dec, covered, views, &res.Metrics, opts); err != nil {
+	if err := runHighwayScan(t, dec, covered, views, &res.Metrics, a); err != nil {
 		return nil, err
 	}
-	segUncov, err := runSegmentSummaries(g, dec, bfs, views, &res.Metrics, opts)
+	segUncov, err := runSegmentSummaries(t, dec, bfs, views, &res.Metrics, a)
 	if err != nil {
 		return nil, err
 	}
-	if err := runExchangeAndCompute(g, dec, views, segUncov, res, opts); err != nil {
+	if err := runExchangeAndCompute(t, dec, views, segUncov, res, a); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -145,16 +147,16 @@ func (p *ancestorProgram) Round(ctx *congest.Context, inbox []congest.Message) b
 	return p.sent == len(p.buf)
 }
 
-func runAncestorScan(g *graph.Graph, dec *segments.Decomposition, covered map[int]bool, views []vertexView, acc *congest.Metrics, opts []congest.Option) error {
+func runAncestorScan(t *congest.Topology, dec *segments.Decomposition, covered map[int]bool, views []vertexView, acc *congest.Metrics, a *congest.NetworkArena) error {
 	tr := dec.Tree
-	net := congest.NewNetwork(g, func(v int) congest.Program {
+	net := congest.NewNetwork(t, func(v int) congest.Program {
 		p := &ancestorProgram{tr: tr, marked: dec.Marked[v], out: &views[v].up}
 		if v != tr.Root {
 			te := tr.ParentEdge[v]
 			p.buf = append(p.buf, pathItem{edge: te, covered: covered[te]})
 		}
 		return p
-	}, opts...)
+	}, a)
 	m, err := net.Run(2*dec.MaxSegmentDiameter() + 8)
 	if err != nil {
 		return fmt.Errorf("tapdist: ancestor scan: %w", err)
@@ -256,7 +258,8 @@ func (p *highwayProgram) Round(ctx *congest.Context, inbox []congest.Message) bo
 	return done
 }
 
-func runHighwayScan(g *graph.Graph, dec *segments.Decomposition, covered map[int]bool, views []vertexView, acc *congest.Metrics, opts []congest.Option) error {
+func runHighwayScan(t *congest.Topology, dec *segments.Decomposition, covered map[int]bool, views []vertexView, acc *congest.Metrics, a *congest.NetworkArena) error {
+	g := t.Graph()
 	tr := dec.Tree
 	// Static per-vertex segment topology (vertices know it from the
 	// decomposition construction, Claim 3.1).
@@ -297,7 +300,7 @@ func runHighwayScan(g *graph.Graph, dec *segments.Decomposition, covered map[int
 		}
 	}
 
-	net := congest.NewNetwork(g, func(v int) congest.Program {
+	net := congest.NewNetwork(t, func(v int) congest.Program {
 		p := &highwayProgram{
 			dec:          dec,
 			upParentEdge: -1,
@@ -329,7 +332,7 @@ func runHighwayScan(g *graph.Graph, dec *segments.Decomposition, covered map[int
 		}
 		sort.Ints(p.downOrder)
 		return p
-	}, opts...)
+	}, a)
 	m, err := net.Run(4*dec.MaxSegmentDiameter() + 2*maxHwy + 10)
 	if err != nil {
 		return fmt.Errorf("tapdist: highway scan: %w", err)
@@ -349,7 +352,8 @@ func runHighwayScan(g *graph.Graph, dec *segments.Decomposition, covered map[int
 // pipelined up the BFS tree and broadcast back down: O(D + #segments).
 // ---------------------------------------------------------------------------
 
-func runSegmentSummaries(g *graph.Graph, dec *segments.Decomposition, bfs *tree.Rooted, views []vertexView, acc *congest.Metrics, opts []congest.Option) (map[int]int64, error) {
+func runSegmentSummaries(t *congest.Topology, dec *segments.Decomposition, bfs *tree.Rooted, views []vertexView, acc *congest.Metrics, a *congest.NetworkArena) (map[int]int64, error) {
+	g := t.Graph()
 	// mS computed at each root from its phase-2 buffers: equivalently, from
 	// the highway facts (the root has them; we recompute from views of the
 	// deepest highway vertex to stay within delivered information).
@@ -367,12 +371,12 @@ func runSegmentSummaries(g *graph.Graph, dec *segments.Decomposition, bfs *tree.
 		}
 		items[s.Root] = append(items[s.Root], int64(s.ID)<<20|m)
 	}
-	up, m1, err := primitives.Upcast(g, bfs, items)
+	up, m1, err := primitives.Upcast(t, bfs, items, a)
 	if err != nil {
 		return nil, fmt.Errorf("tapdist: summary upcast: %w", err)
 	}
 	accAdd(acc, m1)
-	down, m2, err := primitives.BroadcastMany(g, bfs, up)
+	down, m2, err := primitives.BroadcastMany(t, bfs, up, a)
 	if err != nil {
 		return nil, fmt.Errorf("tapdist: summary broadcast: %w", err)
 	}
@@ -446,11 +450,12 @@ func (p *exchangeProgram) Round(ctx *congest.Context, inbox []congest.Message) b
 	return done
 }
 
-func runExchangeAndCompute(g *graph.Graph, dec *segments.Decomposition, views []vertexView, segUncov map[int]int64, res *Result, opts []congest.Option) error {
+func runExchangeAndCompute(t *congest.Topology, dec *segments.Decomposition, views []vertexView, segUncov map[int]int64, res *Result, a *congest.NetworkArena) error {
+	g := t.Graph()
 	tr := dec.Tree
 	inTree := tr.IsTreeEdge()
 	progs := make([]*exchangeProgram, g.N())
-	net := congest.NewNetwork(g, func(v int) congest.Program {
+	net := congest.NewNetwork(t, func(v int) congest.Program {
 		p := &exchangeProgram{
 			mySummary:  makeSummary(dec, views, v),
 			streamFor:  map[int][]pathItem{},
@@ -472,7 +477,7 @@ func runExchangeAndCompute(g *graph.Graph, dec *segments.Decomposition, views []
 		}
 		progs[v] = p
 		return p
-	}, opts...)
+	}, a)
 	m, err := net.Run(2*dec.MaxSegmentDiameter() + 8)
 	if err != nil {
 		return fmt.Errorf("tapdist: exchange: %w", err)

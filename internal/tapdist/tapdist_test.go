@@ -57,7 +57,7 @@ func checkInstance(t *testing.T, g *graph.Graph, coverP float64, seed int64) {
 	tr, dec := decompose(t, g)
 	rng := rand.New(rand.NewSource(seed))
 	covered := randomCoverage(tr, rng, coverP)
-	res, err := ComputeCe(g, dec, covered, nil)
+	res, err := ComputeCe(g, dec, covered, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestComputeCeRoundsAreDPlusSqrtN(t *testing.T) {
 		g := graph.RandomKConnected(n, 2, 2*n, rng, graph.RandomWeights(rng, 50))
 		tr, dec := decompose(t, g)
 		covered := randomCoverage(tr, rng, 0.5)
-		res, err := ComputeCe(g, dec, covered, nil)
+		res, err := ComputeCe(g, dec, covered, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestComputeCeWithProvidedBFSTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	covered := randomCoverage(tr, rng, 0.5)
-	res, err := ComputeCe(g, dec, covered, bfs)
+	res, err := ComputeCe(g, dec, covered, bfs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

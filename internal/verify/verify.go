@@ -37,13 +37,14 @@ type Report struct {
 // Connectivity checks that the graph is connected: a BFS from the minimum-ID
 // leader reaches everyone (each vertex checks locally that it joined; a
 // convergecast of the joined-count to the root completes the verification).
-// O(D) rounds.
-func Connectivity(g *graph.Graph, opts ...congest.Option) (*Report, error) {
+// O(D) rounds. a supplies the simulator buffers; nil gives the call its own
+// arena, shared by its consecutive networks.
+func Connectivity(g *graph.Graph, a *congest.NetworkArena) (*Report, error) {
 	if g.N() == 0 {
 		return &Report{OK: true}, nil
 	}
-	opts = congest.WithDefaultArena(opts)
-	leader, m1, err := primitives.ElectLeader(g, opts...)
+	t, a := congest.NewTopology(g), congest.ArenaOrNew(a)
+	leader, m1, err := primitives.ElectLeader(t, a)
 	if err != nil {
 		if !errors.Is(err, primitives.ErrNoGlobalLeader) {
 			return nil, fmt.Errorf("verify: leader election: %w", err)
@@ -54,7 +55,7 @@ func Connectivity(g *graph.Graph, opts ...congest.Option) (*Report, error) {
 		// detection and the report charges the full cost actually incurred.
 		leader = 0
 	}
-	tr, m2, err := primitives.BuildBFSTree(g, leader, opts...)
+	tr, m2, err := primitives.BuildBFSTree(t, leader, a)
 	if err != nil {
 		// A non-spanning BFS is itself the "disconnected" verdict — and an
 		// explicit one (ErrBFSNotSpanning), not an inference from tree
@@ -70,7 +71,7 @@ func Connectivity(g *graph.Graph, opts ...congest.Option) (*Report, error) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	count, m3, err := primitives.Aggregate(g, tr, ones, primitives.Sum)
+	count, m3, err := primitives.Aggregate(t, tr, ones, primitives.Sum, a)
 	if err != nil {
 		return nil, fmt.Errorf("verify: count convergecast: %w", err)
 	}
@@ -84,18 +85,19 @@ func Connectivity(g *graph.Graph, opts ...congest.Option) (*Report, error) {
 // space sampling: a tree edge is a bridge iff no non-tree edge covers it,
 // i.e. iff its label is the all-zero string; a non-tree edge is never a
 // bridge. A "true" verdict is exact (bridges always label 0); a "false"
-// verdict is correct w.h.p. in bits. O(D) rounds.
-func TwoEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts ...congest.Option) (*Report, error) {
-	return twoEdgeConnectivity(g, bits, rng, congest.WithDefaultArena(opts))
+// verdict is correct w.h.p. in bits. O(D) rounds. a is as for Connectivity.
+func TwoEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, a *congest.NetworkArena) (*Report, error) {
+	return twoEdgeConnectivity(congest.NewTopology(g), bits, rng, congest.ArenaOrNew(a))
 }
 
-// twoEdgeConnectivity is TwoEdgeConnectivity with the caller responsible for
-// arena wiring (ThreeEdgeConnectivity shares one arena across both checks).
-func twoEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts []congest.Option) (*Report, error) {
+// twoEdgeConnectivity is TwoEdgeConnectivity on a prepared topology and
+// arena (ThreeEdgeConnectivity shares both across its two checks).
+func twoEdgeConnectivity(t *congest.Topology, bits int, rng *rand.Rand, a *congest.NetworkArena) (*Report, error) {
+	g := t.Graph()
 	if g.N() < 2 {
 		return &Report{OK: true, Bits: bits}, nil
 	}
-	l, tr, total, err := labelGraph(g, bits, rng, opts...)
+	l, tr, total, err := labelGraph(t, bits, rng, a)
 	if err != nil {
 		return nil, err
 	}
@@ -117,17 +119,18 @@ func twoEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts []conges
 // 5.10: no tree edge may share its label with any other edge. The
 // per-label counts n_φ(t) are gathered by a pipelined upcast of the label
 // multiset to the root (O(D + #labels) rounds), mirroring §5.3's
-// implementation. Requires 2-edge-connectivity (checked first).
-func ThreeEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts ...congest.Option) (*Report, error) {
-	opts = congest.WithDefaultArena(opts)
-	two, err := twoEdgeConnectivity(g, bits, rng, opts)
+// implementation. Requires 2-edge-connectivity (checked first). a is as for
+// Connectivity.
+func ThreeEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, a *congest.NetworkArena) (*Report, error) {
+	t, a := congest.NewTopology(g), congest.ArenaOrNew(a)
+	two, err := twoEdgeConnectivity(t, bits, rng, a)
 	if err != nil {
 		return nil, err
 	}
 	if !two.OK {
 		return two, nil
 	}
-	l, tr, total, err := labelGraph(g, bits, rng, opts...)
+	l, tr, total, err := labelGraph(t, bits, rng, a)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +152,7 @@ func ThreeEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts ...con
 		}
 		items[o] = append(items[o], int64(lab))
 	}
-	_, m, err := primitives.Upcast(g, tr, items)
+	_, m, err := primitives.Upcast(t, tr, items, a)
 	if err != nil {
 		return nil, fmt.Errorf("verify: label upcast: %w", err)
 	}
@@ -159,16 +162,16 @@ func ThreeEdgeConnectivity(g *graph.Graph, bits int, rng *rand.Rand, opts ...con
 
 // labelGraph builds the leader-rooted BFS tree and cycle-space labels,
 // returning the combined measured rounds.
-func labelGraph(g *graph.Graph, bits int, rng *rand.Rand, opts ...congest.Option) (*cycles.Labeling, *tree.Rooted, int, error) {
-	leader, m1, err := primitives.ElectLeader(g, opts...)
+func labelGraph(t *congest.Topology, bits int, rng *rand.Rand, a *congest.NetworkArena) (*cycles.Labeling, *tree.Rooted, int, error) {
+	leader, m1, err := primitives.ElectLeader(t, a)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("verify: leader election: %w", err)
 	}
-	tr, m2, err := primitives.BuildBFSTree(g, leader, opts...)
+	tr, m2, err := primitives.BuildBFSTree(t, leader, a)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("verify: BFS (graph disconnected?): %w", err)
 	}
-	l, err := cycles.ComputeLabels(g, tr, bits, rng, opts...)
+	l, err := cycles.ComputeLabels(t, tr, bits, rng, a)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("verify: labels: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/primitives"
 )
@@ -12,7 +13,7 @@ import (
 func TestConnectivity(t *testing.T) {
 	t.Run("connected graph verifies", func(t *testing.T) {
 		g := graph.Grid(5, 5, graph.UnitWeights())
-		rep, err := Connectivity(g)
+		rep, err := Connectivity(g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func TestConnectivity(t *testing.T) {
 		for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}} {
 			g.AddEdge(e[0], e[1], 1)
 		}
-		rep, err := Connectivity(g)
+		rep, err := Connectivity(g, nil)
 		if err != nil {
 			t.Fatalf("disconnected graph must be a verdict, not an error: %v", err)
 		}
@@ -39,7 +40,7 @@ func TestConnectivity(t *testing.T) {
 		}
 		// Regression: the report must include the rounds of the failed BFS
 		// phase, not just leader election.
-		_, m1, electErr := primitives.ElectLeader(g)
+		_, m1, electErr := primitives.ElectLeader(congest.NewTopology(g), nil)
 		if !errors.Is(electErr, primitives.ErrNoGlobalLeader) {
 			t.Fatalf("expected ErrNoGlobalLeader on disconnected graph, got %v", electErr)
 		}
@@ -52,7 +53,7 @@ func TestConnectivity(t *testing.T) {
 		g.AddEdge(0, 1, 1)
 		g.AddEdge(1, 2, 1)
 		g.AddEdge(2, 0, 1) // vertex 3 is isolated
-		rep, err := Connectivity(g)
+		rep, err := Connectivity(g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestConnectivity(t *testing.T) {
 		}
 	})
 	t.Run("empty graph", func(t *testing.T) {
-		rep, err := Connectivity(graph.New(0))
+		rep, err := Connectivity(graph.New(0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func TestConnectivity(t *testing.T) {
 func TestTwoEdgeConnectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	t.Run("cycle passes", func(t *testing.T) {
-		rep, err := TwoEdgeConnectivity(graph.Cycle(12, graph.UnitWeights()), 32, rng)
+		rep, err := TwoEdgeConnectivity(graph.Cycle(12, graph.UnitWeights()), 32, rng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestTwoEdgeConnectivity(t *testing.T) {
 		g.AddEdge(3, 4, 1)
 		g.AddEdge(4, 5, 1)
 		g.AddEdge(5, 3, 1)
-		rep, err := TwoEdgeConnectivity(g, 32, rng)
+		rep, err := TwoEdgeConnectivity(g, 32, rng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestTwoEdgeConnectivity(t *testing.T) {
 					g.AddEdge(u, v, 1)
 				}
 			}
-			rep, err := TwoEdgeConnectivity(g, 48, rng)
+			rep, err := TwoEdgeConnectivity(g, 48, rng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestThreeEdgeConnectivity(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := ThreeEdgeConnectivity(tc.g, 48, rng)
+			rep, err := ThreeEdgeConnectivity(tc.g, 48, rng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +158,7 @@ func TestThreeEdgeConnectivity(t *testing.T) {
 	t.Run("agrees with oracle on random graphs", func(t *testing.T) {
 		for trial := 0; trial < 15; trial++ {
 			g := graph.RandomKConnected(10, 2, trial, rng, graph.UnitWeights())
-			rep, err := ThreeEdgeConnectivity(g, 48, rng)
+			rep, err := ThreeEdgeConnectivity(g, 48, rng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,11 +174,11 @@ func TestVerifyRoundsAreNearDiameter(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	small := graph.Harary(4, 64, graph.UnitWeights()) // D small
 	big := graph.Harary(4, 512, graph.UnitWeights())  // D still small, n big
-	repS, err := TwoEdgeConnectivity(small, 32, rng)
+	repS, err := TwoEdgeConnectivity(small, 32, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repB, err := TwoEdgeConnectivity(big, 32, rng)
+	repB, err := TwoEdgeConnectivity(big, 32, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,10 +105,12 @@ type poolConfig struct {
 	defaults []Option
 }
 
-// WithoutArenas builds the pool's workers without recycled simulation
-// arenas, so every network allocates fresh buffers. Results are identical
-// either way; this exists to measure the arenas' effect and for the
-// determinism tests.
+// WithoutArenas builds the pool's workers without recycled arenas, so no
+// buffer outlives the solve that allocated it: each solve's simulated
+// networks share a fresh per-solve arena, and the 3-ECSS labeling engine
+// allocates fresh tables. Results are identical either way; the
+// determinism tests use it as the fresh-allocation reference that catches
+// state leaking from one solve into the next.
 func WithoutArenas() PoolOption {
 	return func(c *poolConfig) { c.arenas = false }
 }
